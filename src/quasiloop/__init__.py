@@ -42,7 +42,6 @@ from .quasilie import (
 )
 from .traceeval import (
     RepresentationPoint,
-    eval_induced_bracket,
     load_representation,
     random_representation,
     random_unimodular,
@@ -79,7 +78,6 @@ __all__ = [
     "diagram_to_json",
     "diagram_to_word",
     "dual_v",
-    "eval_induced_bracket",
     "first_form",
     "gate_brace_geometric",
     "gate_dual",

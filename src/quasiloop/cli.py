@@ -57,8 +57,8 @@ def _emit(args, payload: dict, ok: bool = True) -> int:
     return 0 if ok else 1
 
 
-def _combination_json(qs: QuasiSurface, value) -> list:
-    return qs.format_combination(value)
+def _omega_text(omega) -> str:
+    return "".join("+" if s > 0 else "-" for s in omega)
 
 
 def cmd_validate(args) -> int:
@@ -66,34 +66,31 @@ def cmd_validate(args) -> int:
     return _emit(args, {"ok": True, **qs.summary()})
 
 
-def cmd_bracket(args) -> int:
-    qs = _load_surface(args.spec)
-    omega = parse_omega(qs, args.omega)
-    x, y = _loop_args(qs, args, ("x", "y"))
-    value = second_bracket(qs, x, y, omega)
-    payload = {
-        "operation": "second_bracket",
-        "omega": "".join("+" if s > 0 else "-" for s in omega),
-        "x": args.x,
-        "y": args.y,
-        "value": _combination_json(qs, value),
-    }
-    _maybe_trace(args, payload, value)
-    return _emit(args, payload)
+# The loop operations that share one report shape, by command:
+# (help, operation name, function, loop slots, takes an orientation).
+# Each function is called as fn(qs, omega, *loops).  The lambdas look their
+# target up when called, so a wrapper installed on the module sees the call.
+OPERATIONS = {
+    "bracket": ("the skew homotopy bracket [x, y]", "second_bracket",
+                lambda qs, omega, x, y: second_bracket(qs, x, y, omega), ("x", "y"), True),
+    "bullet": ("the oriented homotopy pairing x *_omega y", "bullet",
+               lambda qs, omega, x, y: bullet(qs, omega, x, y), ("x", "y"), True),
+    "mu": ("total 3-bracket (gate braces summed over gates)", "mu_total",
+           lambda qs, omega, x, y, z: QL.mu_total(qs, x, y, z), ("x", "y", "z"), False),
+    "s": ("the fully symmetric 3-bracket", "s_bracket",
+          lambda qs, omega, x, y, z: QL.s_bracket(qs, x, y, z), ("x", "y", "z"), False),
+}
 
 
-def cmd_bullet(args) -> int:
+def cmd_operation(args) -> int:
+    _, operation, fn, slots, takes_omega = OPERATIONS[args.command]
     qs = _load_surface(args.spec)
-    omega = parse_omega(qs, args.omega)
-    x, y = _loop_args(qs, args, ("x", "y"))
-    value = bullet(qs, omega, x, y)
-    payload = {
-        "operation": "bullet",
-        "omega": "".join("+" if s > 0 else "-" for s in omega),
-        "x": args.x,
-        "y": args.y,
-        "value": _combination_json(qs, value),
-    }
+    omega = parse_omega(qs, args.omega) if takes_omega else None
+    value = fn(qs, omega, *_loop_args(qs, args, slots))
+    payload = {"operation": operation, "value": qs.format_combination(value)}
+    payload.update((name, getattr(args, name)) for name in slots)
+    if takes_omega:
+        payload["omega"] = _omega_text(omega)
     _maybe_trace(args, payload, value)
     return _emit(args, payload)
 
@@ -109,37 +106,7 @@ def cmd_brace(args) -> int:
         "gate": args.gate,
         "m": len(loops),
         "loops": [getattr(args, n) for n in ("x", "y", "z") if getattr(args, n, None)],
-        "value": _combination_json(qs, value),
-    }
-    _maybe_trace(args, payload, value)
-    return _emit(args, payload)
-
-
-def cmd_mu(args) -> int:
-    qs = _load_surface(args.spec)
-    x, y, z = _loop_args(qs, args)
-    value = QL.mu_total(qs, x, y, z)
-    payload = {
-        "operation": "mu_total",
-        "x": args.x,
-        "y": args.y,
-        "z": args.z,
-        "value": _combination_json(qs, value),
-    }
-    _maybe_trace(args, payload, value)
-    return _emit(args, payload)
-
-
-def cmd_s(args) -> int:
-    qs = _load_surface(args.spec)
-    x, y, z = _loop_args(qs, args)
-    value = QL.s_bracket(qs, x, y, z)
-    payload = {
-        "operation": "s_bracket",
-        "x": args.x,
-        "y": args.y,
-        "z": args.z,
-        "value": _combination_json(qs, value),
+        "value": qs.format_combination(value),
     }
     _maybe_trace(args, payload, value)
     return _emit(args, payload)
@@ -164,9 +131,9 @@ def cmd_jacobi(args) -> int:
         "x": args.x,
         "y": args.y,
         "z": args.z,
-        "lhs": _combination_json(qs, report.lhs),
-        "rhs": _combination_json(qs, report.rhs),
-        "difference": _combination_json(qs, report.difference),
+        "lhs": qs.format_combination(report.lhs),
+        "rhs": qs.format_combination(report.rhs),
+        "difference": qs.format_combination(report.difference),
         "equal": report.equal,
     }
     return _emit(args, payload, ok=report.equal)
@@ -180,11 +147,11 @@ def cmd_diagnostics(args) -> int:
     ok = diag.p_decomposes and diag.jacobiator_matches
     payload = {
         "operation": "p_and_u_diagnostics",
-        "omega": "".join("+" if s > 0 else "-" for s in omega),
-        "P": _combination_json(qs, diag.p_xyz),
-        "u_omega": _combination_json(qs, diag.u_omega),
-        "u_omega_bar": _combination_json(qs, diag.u_omega_bar),
-        "jacobiator": _combination_json(qs, diag.jacobiator),
+        "omega": _omega_text(omega),
+        "P": qs.format_combination(diag.p_xyz),
+        "u_omega": qs.format_combination(diag.u_omega),
+        "u_omega_bar": qs.format_combination(diag.u_omega_bar),
+        "jacobiator": qs.format_combination(diag.jacobiator),
         "p_decomposes": diag.p_decomposes,
         "jacobiator_matches": diag.jacobiator_matches,
     }
@@ -219,6 +186,8 @@ def _maybe_trace(args, payload: dict, value) -> None:
 
 
 def cmd_selftest(args) -> int:
+    if args.cases is not None and args.cases < 0:
+        raise ValueError(f"--cases must be >= 0, got {args.cases}")
     counts = dict(ACCEPTANCE_COUNTS if args.full else DEFAULT_COUNTS)
     if args.cases is not None:
         counts = {name: args.cases for name in counts}
@@ -261,13 +230,10 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bracket", help="the skew homotopy bracket [x, y]")
-    _add_common(p, loops=2, omega=True, rep=True)
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("bullet", help="the oriented homotopy pairing x *_omega y")
-    _add_common(p, loops=2, omega=True, rep=True)
-    p.set_defaults(func=cmd_bullet)
+    for name, (help_text, _, _, slots, takes_omega) in OPERATIONS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, loops=len(slots), omega=takes_omega, rep=True)
+        p.set_defaults(func=cmd_operation)
 
     p = sub.add_parser("brace", help="geometric gate brace of m loops at one gate")
     _add_common(p, loops=0, rep=True)
@@ -277,18 +243,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", default=None, help="loop word or @diagram.json")
     p.set_defaults(func=cmd_brace)
 
-    p = sub.add_parser("mu", help="total 3-bracket (gate braces summed over gates)")
-    _add_common(p, loops=3, rep=True)
-    p.set_defaults(func=cmd_mu)
-
-    p = sub.add_parser("s", help="the fully symmetric 3-bracket")
-    _add_common(p, loops=3, rep=True)
-    p.set_defaults(func=cmd_s)
-
     p = sub.add_parser("homology", help="Gram matrix of the homological form")
     _add_common(p)
-    p.add_argument("--gram", action="store_true", default=True,
-                   help="emit the Gram matrix (default)")
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("jacobi", help="verify the quasi-Jacobi identity on a triple")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .surface import EdgePath, EdgeStep, QuasiSurface
 from .words import ConjClass, Word, canonical_conjugacy
@@ -470,6 +470,21 @@ class GenericFamily:
     def crossings_of(self, gate: str, loop: int) -> list[CrossingRef]:
         return [c for c in self._gate_seq[gate] if c.loop == loop]
 
+    def crossing_pairs(self, omega: Sequence[int]) -> Iterator[tuple[CrossingRef, CrossingRef, int]]:
+        """The ordered crossing pairs of loops 0 and 1 that every pair form
+        is built from: at each gate, each crossing ``p`` of loop 0 with each
+        crossing ``q`` of loop 1 that comes before ``p`` in the gate sequence
+        ordered by ``omega``, and the coefficient ``omega[k] * p.sign * q.sign``."""
+        for k, gate in enumerate(self.qs.gates):
+            seq = self._gate_seq[gate]
+            direction = omega[k]
+            for i, p in enumerate(seq):
+                if p.loop != 0:
+                    continue
+                for q in seq[:i] if direction > 0 else seq[i + 1:]:
+                    if q.loop == 1:
+                        yield p, q, direction * p.sign * q.sign
+
     def diagrams(self) -> tuple[LaneDiagram, ...]:
         out = []
         for rl in self.loops:
@@ -536,6 +551,31 @@ def combine_generic(
         validate_diagram(qs, d)
         realized.append(_realize_cyclic(qs, d))
     return GenericFamily(qs, realized)
+
+
+def explicit_pair(
+    qs: QuasiSurface, family: ExplicitDiagram, other=None
+) -> tuple[GenericFamily, list[tuple[int, int, int]]]:
+    """The generic family of an explicit two-loop diagram with its depths
+    taken verbatim, and its declared crossings between the two loops as
+    (arc of loop 0, arc of loop 1, sign for the ordered pair (0, 1))."""
+    if other is not None:
+        raise ValueError("pass either two loops or one explicit two-loop family")
+    if len(family.loops) != 2:
+        raise ValueError("the explicit family of a pair form must hold two loops")
+    for d in family.loops:
+        validate_diagram(qs, d)
+    fam = GenericFamily(qs, [_realize_cyclic(qs, d) for d in family.loops], normalize=False)
+    declared = []
+    for crossing in family.crossings:
+        s = crossing.oriented(0, 1)
+        if s is None:
+            continue
+        on_0, on_1 = crossing.first, crossing.second
+        if on_0[0] != 0:
+            on_0, on_1 = on_1, on_0
+        declared.append((on_0[1], on_1[1], s))
+    return fam, declared
 
 
 def combine_with_based(

@@ -13,13 +13,11 @@ from typing import Sequence
 
 from .diagrams import (
     ExplicitDiagram,
-    GenericFamily,
     LaneDiagram,
     as_diagram,
     combine_generic,
+    explicit_pair,
     parse_omega,
-    _realize_cyclic,
-    validate_diagram,
 )
 from .surface import QuasiSurface
 from .words import ConjClass, Word, abelianize
@@ -44,26 +42,6 @@ def gate_dual(qs: QuasiSurface, gate: str, x: H1Class) -> int:
     return sum(coeff * matrix[i][k] for i, coeff in enumerate(x))
 
 
-def _gate_pair_sum(qs: QuasiSurface, omega: Sequence[int], fam: GenericFamily,
-                   loop_a: int, loop_b: int) -> int:
-    total = 0
-    for k, gate in enumerate(qs.gates):
-        seq = fam.gate_sequence(gate)
-        if not seq:
-            continue
-        pos = {ref: i for i, ref in enumerate(seq)}
-        if omega[k] < 0:
-            pos = {ref: len(seq) - 1 - i for ref, i in pos.items()}
-        for p in seq:
-            if p.loop != loop_a:
-                continue
-            for q in seq:
-                if q.loop != loop_b or pos[q] >= pos[p]:
-                    continue
-                total += omega[k] * p.sign * q.sign
-    return total
-
-
 def first_form(
     qs: QuasiSurface,
     omega: "str | Sequence[int] | None",
@@ -77,24 +55,14 @@ def first_form(
     contribute their signs on top of the gate terms.
     """
     signs = parse_omega(qs, omega)
-    declared = 0
+    declared: list = []
     if isinstance(a, ExplicitDiagram):
-        if b is not None:
-            raise ValueError("pass either two loops or one explicit two-loop family")
-        if len(a.loops) != 2:
-            raise ValueError("the explicit family of a pair form must hold two loops")
-        for d in a.loops:
-            validate_diagram(qs, d)
-        fam = GenericFamily(qs, [_realize_cyclic(qs, d) for d in a.loops], normalize=False)
-        for crossing in a.crossings:
-            s = crossing.oriented(0, 1)
-            if s is not None:
-                declared += s
+        fam, declared = explicit_pair(qs, a, b)
     else:
         if b is None:
             raise ValueError("first_form needs two loops")
         fam = combine_generic(qs, [as_diagram(qs, a), as_diagram(qs, b)])
-    return declared + _gate_pair_sum(qs, signs, fam, 0, 1)
+    return sum(s for _, _, s in declared) + sum(c for _, _, c in fam.crossing_pairs(signs))
 
 
 def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:

@@ -22,9 +22,8 @@ from .diagrams import (
     LaneDiagram,
     combine_generic,
     combine_with_based,
+    explicit_pair,
     parse_omega,
-    _realize_cyclic,
-    validate_diagram,
 )
 from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
@@ -90,38 +89,16 @@ def _gate_brace_family(qs: QuasiSurface, gate: str, fam: GenericFamily) -> LoopC
 
 
 def _bullet_family(
-    qs: QuasiSurface,
-    omega: Sequence[int],
-    fam: GenericFamily,
-    declared: "tuple | None" = None,
+    fam: GenericFamily, omega: Sequence[int], declared: Sequence[tuple[int, int, int]] = ()
 ) -> LoopCombination:
     terms: dict = {}
-    for k, gate in enumerate(qs.gates):
-        seq = fam.gate_sequence(gate)
-        if not seq:
-            continue
-        pos = {ref: i for i, ref in enumerate(seq)}
-        if omega[k] < 0:
-            pos = {ref: len(seq) - 1 - i for ref, i in pos.items()}
-        for p in seq:
-            if p.loop != 0:
-                continue
-            for q in seq:
-                if q.loop != 1 or pos[q] >= pos[p]:
-                    continue
-                coeff = omega[k] * p.sign * q.sign
-                key = canonical_conjugacy(fam.rotation_word(p) * fam.rotation_word(q))
-                terms[key] = terms.get(key, 0) + coeff
-    if declared:
-        for crossing in declared:
-            s = crossing.oriented(0, 1)
-            if s is None:
-                continue
-            la, aa = crossing.first if crossing.first[0] == 0 else crossing.second
-            lb, ab = crossing.second if crossing.second[0] == 1 else crossing.first
-            word = fam.exit_rotation_word(la, aa) * fam.exit_rotation_word(lb, ab)
-            key = canonical_conjugacy(word)
-            terms[key] = terms.get(key, 0) + s
+    for p, q, coeff in fam.crossing_pairs(omega):
+        key = canonical_conjugacy(fam.rotation_word(p) * fam.rotation_word(q))
+        terms[key] = terms.get(key, 0) + coeff
+    for arc_0, arc_1, s in declared:
+        word = fam.exit_rotation_word(0, arc_0) * fam.exit_rotation_word(1, arc_1)
+        key = canonical_conjugacy(word)
+        terms[key] = terms.get(key, 0) + s
     return LoopCombination(terms)
 
 
@@ -139,24 +116,18 @@ def bullet(
     """
     signs = parse_omega(qs, omega)
     if isinstance(x, ExplicitDiagram):
-        if y is not None:
-            raise ValueError("pass either two loops or one explicit two-loop family")
-        if len(x.loops) != 2:
-            raise ValueError("the explicit family of a pair form must hold two loops")
-        for d in x.loops:
-            validate_diagram(qs, d)
-        fam = GenericFamily(qs, [_realize_cyclic(qs, d) for d in x.loops], normalize=False)
-        return _bullet_family(qs, signs, fam, declared=x.crossings)
+        fam, declared = explicit_pair(qs, x, y)
+        return _bullet_family(fam, signs, declared)
     if y is None:
         raise ValueError("bullet needs two loops")
     if isinstance(x, LaneDiagram) and isinstance(y, LaneDiagram):
         fam = combine_generic(qs, [x, y])
-        return _bullet_family(qs, signs, fam)
+        return _bullet_family(fam, signs)
     total = LoopCombination.zero()
     for kx, cx in _as_combination(qs, x).terms.items():
         for ky, cy in _as_combination(qs, y).terms.items():
             fam = combine_generic(qs, [kx, ky])
-            total = total + (cx * cy) * _bullet_family(qs, signs, fam)
+            total = total + (cx * cy) * _bullet_family(fam, signs)
     return total
 
 
@@ -181,21 +152,8 @@ def kk_pairing(
     terms: dict = {}
     for kx, cx in _as_combination(qs, x).terms.items():
         fam = combine_with_based(qs, kx, y)
-        for k, gate in enumerate(qs.gates):
-            seq = fam.gate_sequence(gate)
-            if not seq:
-                continue
-            pos = {ref: i for i, ref in enumerate(seq)}
-            if signs[k] < 0:
-                pos = {ref: len(seq) - 1 - i for ref, i in pos.items()}
-            for p in seq:
-                if p.loop != 0:
-                    continue
-                for q in seq:
-                    if q.loop != 1 or pos[q] >= pos[p]:
-                        continue
-                    coeff = cx * signs[k] * p.sign * q.sign
-                    prefix, suffix = fam.splice_words(q)
-                    word = prefix * fam.rotation_word(p) * suffix
-                    terms[word] = terms.get(word, 0) + coeff
+        for p, q, coeff in fam.crossing_pairs(signs):
+            prefix, suffix = fam.splice_words(q)
+            word = prefix * fam.rotation_word(p) * suffix
+            terms[word] = terms.get(word, 0) + cx * coeff
     return GroupRingElement(terms)

@@ -517,10 +517,3 @@ DEFAULT_COUNTS = {
     "suite_fixture_values": 1,
 }
 
-
-def run_all(seed: int = 0, counts: "dict[str, int] | None" = None) -> list[SuiteResult]:
-    counts = counts or DEFAULT_COUNTS
-    results = []
-    for suite in ALL_SUITES:
-        results.append(suite(seed, counts.get(suite.__name__, 0)))
-    return results

@@ -31,9 +31,19 @@ from typing import Iterable, Mapping, Sequence
 
 from .fox import FoxDerivative
 from .ring import GroupRingElement
-from .words import ConjClass, Word, canonical_conjugacy
+from .words import (
+    ConjClass,
+    Word,
+    _reduce,
+    canonical_conjugacy,
+    cyclic_reduction,
+    letter_key,
+    minimal_rotation,
+)
 
 # An edge traversal: (edge index in the total graph, +1 forward / -1 backward).
+# It has the shape of a free-group letter, so edge paths are reduced and
+# rotated with the letter helpers of :mod:`quasiloop.words`.
 EdgeStep = tuple[int, int]
 EdgePath = tuple[EdgeStep, ...]
 
@@ -57,6 +67,8 @@ class QuasiSurfaceSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiSurfaceSpec":
         try:
+            if any(not isinstance(d["gates"], list) for d in data["disks"]):
+                raise ValueError("malformed quasi-surface spec: gates must be a list")
             disks = tuple(tuple(d["gates"]) for d in data["disks"])
             graph = data["graph"]
             vertices = tuple(graph["vertices"])
@@ -200,7 +212,7 @@ class QuasiSurface:
                 + ((e, -1),)
                 + self.tree_path_to_base(edge.source)
             )
-            loops.append(reduce_edge_path(path))
+            loops.append(_reduce(path))
         self.generator_loops: tuple[EdgePath, ...] = tuple(loops)
 
     # --- elementary queries --------------------------------------------
@@ -257,12 +269,12 @@ class QuasiSurface:
                 raise ValueError(f"generator index {g} out of range for rank {self.rank}")
             loop = self.generator_loops[g]
             path.extend(loop if s > 0 else invert_edge_path(loop))
-        return reduce_edge_path(tuple(path))
+        return _reduce(path)
 
     def cyclic_edge_path(self, c: ConjClass) -> EdgePath:
         """The canonical cyclically reduced closed edge path of a class."""
-        path = cyclic_reduce_edge_path(self.edge_path_of_word(c.representative()))
-        return minimal_edge_rotation(path)
+        path = cyclic_reduction(self.edge_path_of_word(c.representative()))
+        return minimal_rotation(path)
 
     def validate_edge_path(self, path: Sequence[EdgeStep], closed_at: int | None = None) -> None:
         at = closed_at
@@ -317,7 +329,7 @@ class QuasiSurface:
 
     def format_combination(self, x) -> list[list]:
         pairs = [(coeff, self.cyclic_edge_path(k)) for k, coeff in x.terms.items()]
-        pairs.sort(key=lambda t: (len(t[1]), tuple(_edge_step_key(s) for s in t[1])))
+        pairs.sort(key=lambda t: (len(t[1]), tuple(letter_key(s) for s in t[1])))
         return [[coeff, self.format_edge_path(p)] for coeff, p in pairs]
 
     # --- gate structure ---------------------------------------------------
@@ -385,39 +397,3 @@ def build(spec: QuasiSurfaceSpec) -> QuasiSurface:
 
 def invert_edge_path(path: EdgePath) -> EdgePath:
     return tuple((e, -d) for e, d in reversed(path))
-
-
-def reduce_edge_path(path: Iterable[EdgeStep]) -> EdgePath:
-    out: list[EdgeStep] = []
-    for e, d in path:
-        if out and out[-1] == (e, -d):
-            out.pop()
-        else:
-            out.append((e, d))
-    return tuple(out)
-
-
-def cyclic_reduce_edge_path(path: EdgePath) -> EdgePath:
-    lo, hi = 0, len(path)
-    while hi - lo >= 2:
-        e, d = path[lo]
-        if path[hi - 1] == (e, -d):
-            lo += 1
-            hi -= 1
-        else:
-            break
-    return path[lo:hi]
-
-
-def _edge_step_key(step: EdgeStep) -> int:
-    e, d = step
-    return 2 * e + (0 if d > 0 else 1)
-
-
-def minimal_edge_rotation(path: EdgePath) -> EdgePath:
-    if len(path) <= 1:
-        return path
-    keys = tuple(_edge_step_key(s) for s in path)
-    n = len(keys)
-    best = min(range(n), key=lambda i: keys[i:] + keys[:i])
-    return path[best:] + path[:best]

@@ -141,28 +141,25 @@ class RepresentationPoint:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RepresentationPoint":
-        n = int(data["n"])
-        raw: Mapping[str, list] = data["images"]
-        images: list = [None] * len(raw)
-        for token, rows in raw.items():
-            if not token.startswith("g") or not token[1:].isdigit():
-                raise ValueError(f"bad generator token {token!r}")
-            idx = int(token[1:]) - 1
-            if not 0 <= idx < len(raw):
-                raise ValueError(f"generator token {token!r} out of range")
-            images[idx] = [[Fraction(x) for x in row] for row in rows]
+        try:
+            n = int(data["n"])
+            raw: Mapping[str, list] = data["images"]
+            images: list = [None] * len(raw)
+            for token, rows in raw.items():
+                if not token.startswith("g") or not token[1:].isdigit():
+                    raise ValueError(f"bad generator token {token!r}")
+                idx = int(token[1:]) - 1
+                if not 0 <= idx < len(raw):
+                    raise ValueError(f"generator token {token!r} out of range")
+                images[idx] = [[Fraction(x) for x in row] for row in rows]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed representation: {exc}") from exc
         return cls.create(n, images)
 
 
 def load_representation(path: str) -> RepresentationPoint:
     with open(path, "r", encoding="utf-8") as fh:
         return RepresentationPoint.from_json_dict(json.load(fh))
-
-
-def eval_induced_bracket(rho: RepresentationPoint, value: LoopCombination) -> Fraction:
-    """Trace of a bracket output; by descent this is the induced bracket's
-    value on the corresponding trace generators."""
-    return rho.eval_trace(value)
 
 
 def random_unimodular(n: int, seed, det_one: bool = False) -> Matrix:

@@ -156,6 +156,18 @@ def test_trace_eval(capsys, tmp_path):
     assert json.loads(out)["trace"] == "9"
 
 
+def test_trace_eval_rep_without_n(capsys, tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"images": {"g1": [["3"]]}}), encoding="utf-8")
+    code, out, err = run(
+        capsys, "trace-eval", "--spec", "fixture:qt2", "--rep", str(path),
+        "--expr", "g1 g2^-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"].startswith("malformed representation")
+
+
 def test_bracket_with_trace(capsys, tmp_path):
     rep = {"n": 1, "images": {"g1": [["3"]]}}
     path = tmp_path / "rep.json"
@@ -198,6 +210,13 @@ def test_selftest_zero_cases_warns(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert any("vacuous" in (s.get("warning") or "") for s in data["suites"])
+
+
+def test_selftest_negative_cases_rejected(capsys):
+    code, out, err = run(capsys, "selftest", "--cases", "-3")
+    assert code == 1
+    assert out == ""
+    assert "--cases" in json.loads(err)["error"]
 
 
 def test_json_out_file(capsys, tmp_path):

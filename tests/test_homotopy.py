@@ -5,12 +5,15 @@ import pytest
 from quasiloop.diagrams import (
     ExplicitDiagram,
     SurfaceCrossing,
+    all_orientations,
+    combine_generic,
     flip_gate,
     opposite,
     parse_omega,
     word_to_diagram,
 )
 from quasiloop.fox import algebraic_brace
+from quasiloop.homology import first_form
 from quasiloop.homotopy import bullet, gate_brace_geometric, kk_pairing, second_bracket
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
 from quasiloop.ring import LoopCombination, project_to_classes
@@ -265,6 +268,29 @@ def test_cancelling_declared_crossing_pair_is_invisible(qt2):
     )
     assert bullet(qt2, None, pushed) == bullet(qt2, None, plain)
     assert first_form(qt2, None, pushed) == first_form(qt2, None, plain)
+
+
+def test_first_form_is_coefficient_sum_of_bullet():
+    # both forms consume the same crossing pairs: the oriented crossing
+    # count is the augmentation of the oriented pairing, declared
+    # crossings of explicit families included
+    rng = random.Random(61)
+    for _ in range(40):
+        qs = random_surface(rng)
+        x = random_class(rng, qs.rank, max_len=6)
+        y = random_class(rng, qs.rank, max_len=6)
+        dx, dy = combine_generic(qs, [x, y]).diagrams()
+        crossings = []
+        for i, a in enumerate(dx.arcs):
+            for j, b in enumerate(dy.arcs):
+                if a.disk == b.disk and rng.random() < 0.4:
+                    ends = [(0, i), (1, j)]
+                    rng.shuffle(ends)
+                    crossings.append(SurfaceCrossing(*ends, rng.choice((1, -1))))
+        explicit = ExplicitDiagram((dx, dy), tuple(crossings))
+        for omega in all_orientations(qs):
+            assert first_form(qs, omega, x, y) == sum(bullet(qs, omega, x, y).terms.values())
+            assert first_form(qs, omega, explicit) == sum(bullet(qs, omega, explicit).terms.values())
 
 
 def test_crossing_must_join_arcs_of_one_disk(qd2):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from quasiloop.randomcase import random_surface, random_word
-from quasiloop.surface import QuasiSurfaceSpec, build, reduce_edge_path
-from quasiloop.words import format_word
+from quasiloop.surface import QuasiSurfaceSpec, build, invert_edge_path
+from quasiloop.words import _reduce, format_word
 
 
 def test_qt2_presentation(qt2):
@@ -75,9 +75,15 @@ def test_spec_json_round_trip(qd2):
     assert QuasiSurfaceSpec.from_json_dict(data) == qd2.spec
 
 
-def test_malformed_spec():
+def test_malformed_spec(qt2):
     with pytest.raises(ValueError, match="malformed"):
         QuasiSurfaceSpec.from_json_dict({"disks": [{}]})
+    # a string is not read as one gate per character
+    data = qt2.spec.to_json_dict()
+    data["disks"][0]["gates"] = "ab"
+    data["gluing"] = {"a": "v", "b": "v"}
+    with pytest.raises(ValueError, match="malformed"):
+        QuasiSurfaceSpec.from_json_dict(data)
 
 
 def test_parse_loop_rejects_open_paths(qg1):
@@ -124,8 +130,11 @@ def test_word_edge_path_round_trip_random():
         assert qs.word_from_edge_path(qs.edge_path_of_word(w)) == w
 
 
-def test_reduce_edge_path():
-    assert reduce_edge_path(((0, 1), (0, -1), (2, 1))) == ((2, 1),)
+def test_reduce_edge_path(qd2):
+    # edge paths reduce with the same helper as words
+    assert _reduce(((0, 1), (0, -1), (2, 1))) == ((2, 1),)
+    loop = qd2.generator_loops[0]
+    assert _reduce(loop + invert_edge_path(loop)) == ()
 
 
 def test_gate_derivative_values(qt2):

@@ -10,7 +10,6 @@ from quasiloop.randomcase import random_class, random_surface, random_word
 from quasiloop.ring import LoopCombination
 from quasiloop.traceeval import (
     RepresentationPoint,
-    eval_induced_bracket,
     mat_det,
     mat_identity,
     mat_inverse,
@@ -71,7 +70,7 @@ def test_trace_conjugation_invariant():
 def test_eval_induced_bracket_chain(qt2):
     z = qt2.parse_loop("g1 g2^-1")
     rho = RepresentationPoint.create(1, [[[3]]])
-    value = eval_induced_bracket(rho, gate_brace_geometric(qt2, "g1", [z, z]))
+    value = rho.eval_trace(gate_brace_geometric(qt2, "g1", [z, z]))
     assert value == 9
 
 

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from quasiloop.words import (
     Word,
+    _reduce,
     abelianize,
     canonical_conjugacy,
     commutator,
@@ -21,6 +22,8 @@ words_st = st.lists(letters_st, max_size=12).map(Word)
 
 def test_reduce_inverse_pair_cancels():
     assert W((0, 1), (0, -1)) == Word()
+    # edge paths of a surface reduce with the same helper
+    assert _reduce(((0, 1), (0, -1), (2, 1))) == ((2, 1),)
 
 
 def test_reduce_inner_cancellation():
