@@ -105,7 +105,7 @@ def cmd_brace(args) -> int:
         "operation": "gate_brace",
         "gate": args.gate,
         "m": len(loops),
-        "loops": [getattr(args, n) for n in ("x", "y", "z") if getattr(args, n, None)],
+        "loops": [getattr(args, n) for n in ("x", "y", "z") if getattr(args, n, None) is not None],
         "value": qs.format_combination(value),
     }
     _maybe_trace(args, payload, value)

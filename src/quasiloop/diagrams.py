@@ -344,16 +344,17 @@ def diagram_from_json(qs: QuasiSurface, data: dict) -> LaneDiagram:
             DiskArc(int(a["disk"]), int(a["lane"]), int(a["depth"]), bool(a.get("reverse", False)))
             for a in data.get("arcs", ())
         )
-        steps = []
-        for p in data.get("paths", ()):
-            path = []
-            for token, s in p:
-                if token not in qs.token_to_edge:
-                    raise ValueError(f"unknown generator token {token!r}")
-                path.append((qs.token_to_edge[token], int(s)))
-            steps.append(tuple(path))
-    except (KeyError, TypeError) as exc:
+        paths = [[(str(token), int(s)) for token, s in p] for p in data.get("paths", ())]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed diagram: {exc}") from exc
+    steps = []
+    for p in paths:
+        path = []
+        for token, s in p:
+            if token not in qs.token_to_edge:
+                raise ValueError(f"unknown generator token {token!r}")
+            path.append((qs.token_to_edge[token], s))
+        steps.append(tuple(path))
     diagram = LaneDiagram(arcs, tuple(steps))
     validate_diagram(qs, diagram)
     return diagram

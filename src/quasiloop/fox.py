@@ -17,10 +17,10 @@ bracket computations.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .ring import GroupRingElement, LoopCombination, project_to_classes
-from .words import ConjClass, Word, parse_word
+from .words import ConjClass, Word
 
 
 class FoxDerivative:
@@ -52,33 +52,32 @@ class FoxDerivative:
 
     def apply_word(self, w: Word) -> GroupRingElement:
         """d(l1 ... ln) = sum_i (l1 ... l_{i-1}) d(l_i), with d(g^-1) = -g^-1 d(g)."""
-        result = GroupRingElement.zero()
+        return GroupRingElement.collect(self._word_terms(w))
+
+    def _word_terms(self, w: Word) -> Iterator[tuple[Word, int]]:
+        """The terms of d(w), before merging."""
         prefix = Word()
         for g, s in w.letters:
             img = self._image(g)
             if s > 0:
-                result = result + img.left_mul(prefix)
+                for u, c in img:
+                    yield prefix * u, c
             else:
-                inv = Word.generator(g, -1)
-                result = result - img.left_mul(prefix * inv)
+                left = prefix * Word.generator(g, -1)
+                for u, c in img:
+                    yield left * u, -c
             prefix = prefix * Word.generator(g, s)
-        return result
 
     def apply(self, x: "GroupRingElement | Word") -> GroupRingElement:
         if isinstance(x, Word):
             return self.apply_word(x)
-        result = GroupRingElement.zero()
-        for w, c in x.terms.items():
-            result = result + c * self.apply_word(w)
-        return result
+        return GroupRingElement.collect(
+            (u, c * b) for w, c in x.terms.items() for u, b in self._word_terms(w)
+        )
 
     def delta_word(self, w: Word) -> GroupRingElement:
         """The companion map: expand d(w) = sum (w/a) a and return sum (w/a) a^-1 w a."""
-        result: dict[Word, int] = {}
-        for a, c in self.apply_word(w).terms.items():
-            conj = ~a * w * a
-            result[conj] = result.get(conj, 0) + c
-        return GroupRingElement(result)
+        return GroupRingElement.collect((~a * w * a, c) for a, c in self.apply_word(w))
 
     def delta(self, x: "GroupRingElement | Word | ConjClass | LoopCombination") -> GroupRingElement:
         """Linear extension of :meth:`delta_word`.
@@ -91,11 +90,11 @@ class FoxDerivative:
             return self.delta_word(x)
         if isinstance(x, ConjClass):
             return self.delta_word(x.representative())
-        result = GroupRingElement.zero()
-        for key, c in x.terms.items():
-            w = key.representative() if isinstance(key, ConjClass) else key
-            result = result + c * self.delta_word(w)
-        return result
+        return GroupRingElement.collect(
+            (u, c * b)
+            for key, c in x.terms.items()
+            for u, b in self.delta_word(key.representative() if isinstance(key, ConjClass) else key)
+        )
 
     def shifted(self, g: Word) -> "FoxDerivative":
         """The equivalent derivative ``x -> d(x) g`` (images right-multiplied by g)."""
@@ -110,7 +109,9 @@ class FoxDerivative:
         rank = len(data)
         images = [GroupRingElement.zero()] * rank
         for token, pairs in data.items():
-            g = parse_word(token).letters[0][0]
+            if not token.startswith("g") or not token[1:].isdigit() or int(token[1:]) < 1:
+                raise ValueError(f"bad generator token {token!r}")
+            g = int(token[1:]) - 1
             if g >= rank:
                 raise ValueError(f"generator token {token!r} exceeds rank {rank}")
             images[g] = GroupRingElement.from_pairs(pairs)
@@ -152,9 +153,10 @@ def sandwich_derivation(d: FoxDerivative, filling: GroupRingElement) -> Callable
     """
 
     def derivation(w: Word) -> GroupRingElement:
-        result = GroupRingElement.zero()
-        for a, c in d.apply_word(w).terms.items():
-            result = result + c * (GroupRingElement.from_word(a) * filling * GroupRingElement.from_word(~a * w))
-        return result
+        return GroupRingElement.collect(
+            (u, c * b)
+            for a, c in d.apply_word(w)
+            for u, b in GroupRingElement.from_word(a) * filling * GroupRingElement.from_word(~a * w)
+        )
 
     return derivation

@@ -13,10 +13,9 @@ the engine's standing cross-check.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .diagrams import (
-    CrossingRef,
     ExplicitDiagram,
     GenericFamily,
     LaneDiagram,
@@ -30,18 +29,27 @@ from .surface import QuasiSurface
 from .words import ConjClass, Word, canonical_conjugacy
 
 
-def _as_combination(qs: QuasiSurface, x) -> LoopCombination:
+def _loop_terms(x):
+    """An argument's ``(loop, coeff)`` pairs: the terms of a loop
+    combination, or a single class or lane diagram with coefficient 1."""
     if isinstance(x, LoopCombination):
-        return x
-    if isinstance(x, LaneDiagram):
-        from .diagrams import diagram_to_word
-
-        return LoopCombination.from_class(diagram_to_word(qs, x))
+        return x.terms.items()
     if isinstance(x, Word):
         x = canonical_conjugacy(x)
-    if isinstance(x, ConjClass):
-        return LoopCombination.from_class(x)
+    if isinstance(x, (ConjClass, LaneDiagram)):
+        return ((x, 1),)
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop combination")
+
+
+def _families(qs: QuasiSurface, args: Sequence) -> Iterator[tuple[GenericFamily, int]]:
+    """The multilinear extension over loop arguments: the generic family
+    of each choice of one term per argument, with the product of the
+    chosen coefficients."""
+    for picks in itertools.product(*map(_loop_terms, args)):
+        coeff = 1
+        for _, c in picks:
+            coeff *= c
+        yield combine_generic(qs, [k for k, _ in picks]), coeff
 
 
 def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCombination:
@@ -52,54 +60,32 @@ def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCo
         raise ValueError(f"unknown gate {gate!r}")
     if not loops:
         raise ValueError("gate brace needs at least one loop")
-    combos = [_as_combination(qs, x) if not isinstance(x, LaneDiagram) else x for x in loops]
-
-    # bilinear extension over combination inputs
-    def expand(x):
-        if isinstance(x, LaneDiagram):
-            return [(1, x)]
-        return [(c, k) for k, c in x.terms.items()]
-
-    total = LoopCombination.zero()
-    for picks in itertools.product(*(expand(x) for x in combos)):
-        coeff = 1
-        for c, _ in picks:
-            coeff *= c
-        fam = combine_generic(qs, [k for _, k in picks])
-        total = total + coeff * _gate_brace_family(qs, gate, fam)
-    return total
+    return LoopCombination.collect(
+        (key, coeff * sign)
+        for fam, coeff in _families(qs, loops)
+        for key, sign in _gate_brace_terms(gate, fam)
+    )
 
 
-def _gate_brace_family(qs: QuasiSurface, gate: str, fam: GenericFamily) -> LoopCombination:
-    per_loop: list[list[CrossingRef]] = [
-        fam.crossings_of(gate, i) for i in range(len(fam.loops))
-    ]
-    if any(not refs for refs in per_loop):
-        return LoopCombination.zero()
-    terms: dict = {}
+def _gate_brace_terms(gate: str, fam: GenericFamily) -> Iterator[tuple[ConjClass, int]]:
+    per_loop = [fam.crossings_of(gate, i) for i in range(len(fam.loops))]
     for combo in itertools.product(*per_loop):
         sign = 1
         word = Word()
         for ref in combo:
             sign *= ref.sign
             word = word * fam.rotation_word(ref)
-        key = canonical_conjugacy(word)
-        terms[key] = terms.get(key, 0) + sign
-    return LoopCombination(terms)
+        yield canonical_conjugacy(word), sign
 
 
-def _bullet_family(
+def _bullet_terms(
     fam: GenericFamily, omega: Sequence[int], declared: Sequence[tuple[int, int, int]] = ()
-) -> LoopCombination:
-    terms: dict = {}
+) -> Iterator[tuple[ConjClass, int]]:
     for p, q, coeff in fam.crossing_pairs(omega):
-        key = canonical_conjugacy(fam.rotation_word(p) * fam.rotation_word(q))
-        terms[key] = terms.get(key, 0) + coeff
+        yield canonical_conjugacy(fam.rotation_word(p) * fam.rotation_word(q)), coeff
     for arc_0, arc_1, s in declared:
         word = fam.exit_rotation_word(0, arc_0) * fam.exit_rotation_word(1, arc_1)
-        key = canonical_conjugacy(word)
-        terms[key] = terms.get(key, 0) + s
-    return LoopCombination(terms)
+        yield canonical_conjugacy(word), s
 
 
 def bullet(
@@ -117,18 +103,14 @@ def bullet(
     signs = parse_omega(qs, omega)
     if isinstance(x, ExplicitDiagram):
         fam, declared = explicit_pair(qs, x, y)
-        return _bullet_family(fam, signs, declared)
+        return LoopCombination.collect(_bullet_terms(fam, signs, declared))
     if y is None:
         raise ValueError("bullet needs two loops")
-    if isinstance(x, LaneDiagram) and isinstance(y, LaneDiagram):
-        fam = combine_generic(qs, [x, y])
-        return _bullet_family(fam, signs)
-    total = LoopCombination.zero()
-    for kx, cx in _as_combination(qs, x).terms.items():
-        for ky, cy in _as_combination(qs, y).terms.items():
-            fam = combine_generic(qs, [kx, ky])
-            total = total + (cx * cy) * _bullet_family(fam, signs)
-    return total
+    return LoopCombination.collect(
+        (key, coeff * c)
+        for fam, coeff in _families(qs, (x, y))
+        for key, c in _bullet_terms(fam, signs)
+    )
 
 
 def second_bracket(qs: QuasiSurface, x, y, omega=None) -> LoopCombination:
@@ -149,11 +131,12 @@ def kk_pairing(
     loop into a based loop returns a group-ring element, a derivation of
     the group algebra in the based slot."""
     signs = parse_omega(qs, omega)
-    terms: dict = {}
-    for kx, cx in _as_combination(qs, x).terms.items():
-        fam = combine_with_based(qs, kx, y)
-        for p, q, coeff in fam.crossing_pairs(signs):
-            prefix, suffix = fam.splice_words(q)
-            word = prefix * fam.rotation_word(p) * suffix
-            terms[word] = terms.get(word, 0) + cx * coeff
-    return GroupRingElement(terms)
+
+    def terms() -> Iterator[tuple[Word, int]]:
+        for kx, cx in _loop_terms(x):
+            fam = combine_with_based(qs, kx, y)
+            for p, q, coeff in fam.crossing_pairs(signs):
+                prefix, suffix = fam.splice_words(q)
+                yield prefix * fam.rotation_word(p) * suffix, cx * coeff
+
+    return GroupRingElement.collect(terms())

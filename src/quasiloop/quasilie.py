@@ -21,10 +21,9 @@ from .surface import QuasiSurface
 
 def mu_total(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """Sum of the 3-braces of all gates; cyclically symmetric."""
-    total = LoopCombination.zero()
-    for gate in qs.gates:
-        total = total + gate_brace_geometric(qs, gate, [x, y, z])
-    return total
+    return LoopCombination.collect(
+        term for gate in qs.gates for term in gate_brace_geometric(qs, gate, [x, y, z])
+    )
 
 
 def jacobiator(qs: QuasiSurface, x, y, z) -> LoopCombination:

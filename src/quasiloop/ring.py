@@ -4,8 +4,9 @@ classes.
 
 ``GroupRingElement`` is a finite map reduced word -> integer; the product
 is the bilinear extension of concatenation.  ``LoopCombination`` is the
-image module: a finite map conjugacy class -> integer.  Neither container
-ever stores a zero coefficient.
+image module: a finite map conjugacy class -> integer.  Both are free
+Z-modules on their keys and share one container, which never stores a
+zero coefficient; sums of many terms go through :meth:`collect`.
 """
 
 from __future__ import annotations
@@ -15,29 +16,35 @@ from typing import Iterable, Iterator, Mapping
 from .words import ConjClass, Word, canonical_conjugacy, format_word, parse_word
 
 
-def _clean(terms: Mapping) -> dict:
-    return {k: c for k, c in terms.items() if c != 0}
+class _Combination:
+    """A finite integer combination of keys, with no zero coefficients.
 
-
-class GroupRingElement:
-    """An element of Z[F]: finitely many reduced words with integer coefficients."""
+    Subclasses fix the key type: ``_key`` maps a word to its key,
+    ``_word`` maps a key back to the word it prints as, and ``_brackets``
+    enclose that word in ``repr``.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, int] | None = None):
-        self.terms = _clean(terms or {})
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls) -> "GroupRingElement":
+    def collect(cls, pairs: Iterable[tuple]):
+        """The sum of ``(key, coeff)`` pairs, merged into one dict; zero
+        coefficients are dropped once, at the end."""
+        terms: dict = {}
+        for k, c in pairs:
+            terms[k] = terms.get(k, 0) + c
+        return cls(terms)
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def from_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls({w: coeff})
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls.from_word(Word())
+    def from_word(cls, w: Word, coeff: int = 1):
+        return cls({cls._key(w): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -46,38 +53,72 @@ class GroupRingElement:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
+        return isinstance(other, type(self)) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __iter__(self) -> Iterator[tuple[Word, int]]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.terms.items())
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def __add__(self, other):
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return GroupRingElement(terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return type(self)(terms)
 
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __rmul__(self, scalar: int) -> "GroupRingElement":
+    def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return GroupRingElement({w: scalar * c for w, c in self.terms.items()})
+        return type(self)({k: scalar * c for k, c in self.terms.items()})
+
+    def sorted_terms(self) -> list[tuple]:
+        word = self._word
+        return sorted(self.terms.items(), key=lambda t: (len(word(t[0])), word(t[0]).key()))
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0)"
+        left, right = self._brackets
+        parts = [f"{c}*{left}{format_word(self._word(k))}{right}" for k, c in self.sorted_terms()]
+        return f"{name}(" + " + ".join(parts) + ")"
+
+    def to_pairs(self) -> list[list]:
+        return [[c, format_word(self._word(k))] for k, c in self.sorted_terms()]
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable, rank: int | None = None):
+        return cls.collect((cls._key(parse_word(text, rank)), int(coeff)) for coeff, text in pairs)
+
+
+class GroupRingElement(_Combination):
+    """An element of Z[F]: finitely many reduced words with integer coefficients."""
+
+    __slots__ = ()
+
+    _brackets = "[]"
+
+    @staticmethod
+    def _key(w: Word) -> Word:
+        return w
+
+    _word = _key
+
+    @classmethod
+    def one(cls) -> "GroupRingElement":
+        return cls.from_word(Word())
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        terms: dict[Word, int] = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u * v
-                terms[w] = terms.get(w, 0) + a * b
-        return GroupRingElement(terms)
+        return GroupRingElement.collect(
+            (u * v, a * b) for u, a in self.terms.items() for v, b in other.terms.items()
+        )
 
     def left_mul(self, w: Word) -> "GroupRingElement":
         return GroupRingElement({w * u: c for u, c in self.terms.items()})
@@ -89,104 +130,31 @@ class GroupRingElement:
         """Sum of coefficients (image under the map sending every group element to 1)."""
         return sum(self.terms.values())
 
-    def sorted_terms(self) -> list[tuple[Word, int]]:
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0].key()))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElement(0)"
-        parts = [f"{c}*[{format_word(w)}]" for w, c in self.sorted_terms()]
-        return "GroupRingElement(" + " + ".join(parts) + ")"
-
-    def to_pairs(self) -> list[list]:
-        return [[c, format_word(w)] for w, c in self.sorted_terms()]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable, rank: int | None = None) -> "GroupRingElement":
-        terms: dict[Word, int] = {}
-        for coeff, text in pairs:
-            w = parse_word(text, rank)
-            terms[w] = terms.get(w, 0) + int(coeff)
-        return cls(terms)
-
-
-class LoopCombination:
+class LoopCombination(_Combination):
     """An integer combination of conjugacy classes (an element of A/[A,A])."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[ConjClass, int] | None = None):
-        self.terms = _clean(terms or {})
+    _brackets = "<>"
 
-    @classmethod
-    def zero(cls) -> "LoopCombination":
-        return cls()
+    @staticmethod
+    def _key(w: Word) -> ConjClass:
+        return canonical_conjugacy(w)
+
+    @staticmethod
+    def _word(k: ConjClass) -> Word:
+        return k.word
+
+    # bound on this class too, so that per-class wrappers such as the
+    # benchmark's tracer find it in the class's own namespace
+    __add__ = _Combination.__add__
 
     @classmethod
     def from_class(cls, c: ConjClass, coeff: int = 1) -> "LoopCombination":
         return cls({c: coeff})
 
-    @classmethod
-    def from_word(cls, w: Word, coeff: int = 1) -> "LoopCombination":
-        return cls({canonical_conjugacy(w): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LoopCombination) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __iter__(self) -> Iterator[tuple[ConjClass, int]]:
-        return iter(self.terms.items())
-
-    def __add__(self, other: "LoopCombination") -> "LoopCombination":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return LoopCombination(terms)
-
-    def __neg__(self) -> "LoopCombination":
-        return LoopCombination({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "LoopCombination") -> "LoopCombination":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "LoopCombination":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return LoopCombination({k: scalar * c for k, c in self.terms.items()})
-
-    def sorted_terms(self) -> list[tuple[ConjClass, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].key())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "LoopCombination(0)"
-        parts = [f"{c}*<{format_word(k.word)}>" for k, c in self.sorted_terms()]
-        return "LoopCombination(" + " + ".join(parts) + ")"
-
-    def to_pairs(self) -> list[list]:
-        return [[c, format_word(k.word)] for k, c in self.sorted_terms()]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable, rank: int | None = None) -> "LoopCombination":
-        terms: dict[ConjClass, int] = {}
-        for coeff, text in pairs:
-            k = canonical_conjugacy(parse_word(text, rank))
-            terms[k] = terms.get(k, 0) + int(coeff)
-        return cls(terms)
-
 
 def project_to_classes(x: GroupRingElement) -> LoopCombination:
     """The projection A -> A/[A,A]: canonicalize each term's conjugacy class and merge."""
-    terms: dict[ConjClass, int] = {}
-    for w, c in x.terms.items():
-        k = canonical_conjugacy(w)
-        terms[k] = terms.get(k, 0) + c
-    return LoopCombination(terms)
+    return LoopCombination.collect((canonical_conjugacy(w), c) for w, c in x.terms.items())

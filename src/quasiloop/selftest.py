@@ -56,6 +56,10 @@ class SuiteResult:
     failures: list[str] = field(default_factory=list)
     warning: str | None = None
 
+    def __post_init__(self):
+        if self.cases < 0:
+            raise ValueError(f"{self.name}: case count must be >= 0, got {self.cases}")
+
     @property
     def passed(self) -> bool:
         return not self.failures
@@ -185,9 +189,11 @@ def suite_symmetrization(seed: int = 0, cases: int = 500) -> SuiteResult:
         if 2 * H.first_form(qs, omega, x, y) != H.second_form(qs, vx, vy) + gate_term:
             result.record(f"case {i}: homological symmetrization fails for x={x!r} y={y!r}"
                           f" on {_dump_surface(qs)}")
-        brace_sum = LoopCombination.zero()
-        for k, g in enumerate(qs.gates):
-            brace_sum = brace_sum + omega[k] * gate_brace_geometric(qs, g, [x, y])
+        brace_sum = LoopCombination.collect(
+            (key, omega[k] * c)
+            for k, g in enumerate(qs.gates)
+            for key, c in gate_brace_geometric(qs, g, [x, y])
+        )
         lhs = bullet(qs, omega, x, y) + bullet(qs, omega, y, x)
         if lhs != brace_sum:
             result.record(f"case {i}: homotopy symmetrization fails for x={x!r} y={y!r}"

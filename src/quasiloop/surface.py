@@ -341,17 +341,14 @@ class QuasiSurface:
             raise ValueError(f"unknown gate {gate!r}")
         gate_e = self.gate_edge[gate]
         tau = self.tree_path_to_base(self.glued_vertex(gate))
-        images = []
-        for loop in self.generator_loops:
-            img: dict[Word, int] = {}
+
+        def image(loop: EdgePath):
             for j, (e, d) in enumerate(loop):
-                if e != gate_e:
-                    continue
-                prefix = loop[: j + 1] if d < 0 else loop[:j]
-                w = self.word_from_edge_path(prefix + tau)
-                img[w] = img.get(w, 0) + d
-            images.append(GroupRingElement(img))
-        return FoxDerivative(images)
+                if e == gate_e:
+                    prefix = loop[: j + 1] if d < 0 else loop[:j]
+                    yield self.word_from_edge_path(prefix + tau), d
+
+        return FoxDerivative([GroupRingElement.collect(image(loop)) for loop in self.generator_loops])
 
     def gate_crossing_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Signed gate-crossing counts of each generator: rows are

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from quasiloop.cli import main
 from quasiloop.fixtures import fixture_spec
+from quasiloop.selftest import ALL_SUITES
 
 
 def run(capsys, *argv):
@@ -196,6 +199,29 @@ def test_diagram_input(capsys, tmp_path):
     assert json.loads(out)["value"] == [[1, "g1 g2^-1 g1 g2^-1"]]
 
 
+def test_malformed_diagram_input(capsys, tmp_path):
+    # a top-level list and a one-element path step are malformed diagrams
+    for name, data in (("list", []), ("step", {"paths": [[["g1"]]]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(
+            capsys, "bullet", "--spec", "fixture:qg1",
+            "--x", f"@{path}", "--y", "g1 g3^-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("malformed diagram: ")
+
+
+def test_brace_keeps_trivial_loop(capsys):
+    code, out, _ = run(capsys, "brace", "--spec", "fixture:qg1", "--gate", "g1", "--x", "")
+    assert code == 0
+    data = json.loads(out)
+    assert data["m"] == 1
+    assert data["loops"] == [""]
+
+
 def test_selftest_deterministic(capsys):
     code1, out1, _ = run(capsys, "selftest", "--seed", "3", "--cases", "5")
     code2, out2, _ = run(capsys, "selftest", "--seed", "3", "--cases", "5")
@@ -217,6 +243,13 @@ def test_selftest_negative_cases_rejected(capsys):
     assert code == 1
     assert out == ""
     assert "--cases" in json.loads(err)["error"]
+
+
+def test_selftest_suites_reject_negative_cases():
+    # the library suites reject what the CLI rejects, instead of passing
+    for suite in ALL_SUITES:
+        with pytest.raises(ValueError, match="case count must be >= 0"):
+            suite(0, -3)
 
 
 def test_json_out_file(capsys, tmp_path):

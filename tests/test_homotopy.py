@@ -327,3 +327,88 @@ def test_twice_bullet_decomposition():
         for k, gate in enumerate(qs.gates):
             gate_sum = gate_sum + omega[k] * gate_brace_geometric(qs, gate, [x, y])
         assert 2 * bullet(qs, omega, x, y) == second_bracket(qs, x, y) + gate_sum
+
+
+def _weighted_sum(zero, pairs):
+    # sum of coeff * value, built with + only: an independent route to collect
+    total = zero
+    for value, coeff in pairs:
+        total = total + coeff * value
+    return total
+
+
+def test_operations_are_linear_in_every_slot():
+    # X = sum a_i x_i and Y = sum b_j y_j on random surfaces: each operation
+    # on combinations equals the weighted sum of its values on single loops
+    from quasiloop.diagrams import diagram_from_cyclic_path
+    from quasiloop.quasilie import mu_total
+    from quasiloop.ring import GroupRingElement
+    from quasiloop.selftest import _reroute_arc
+
+    rng = random.Random(4)
+    zero = LoopCombination.zero()
+    for _ in range(20):
+        qs = random_surface(rng)
+        omega = random_omega(rng, qs)
+        xs = [random_class(rng, qs.rank, max_len=5) for _ in range(2)]
+        ys = [random_class(rng, qs.rank, max_len=5) for _ in range(2)]
+        a = [rng.choice((-2, -1, 1, 3)) for _ in xs]
+        b = [rng.choice((-3, -1, 1, 2)) for _ in ys]
+        X = LoopCombination.collect(zip(xs, a))
+        Y = LoopCombination.collect(zip(ys, b))
+        z, w = (random_class(rng, qs.rank, max_len=4) for _ in range(2))
+        u = random_word(rng, qs.rank, max_len=4)
+        gate = rng.choice(qs.gates)
+
+        assert (X - X).terms == {}
+        assert bullet(qs, omega, X, Y) == _weighted_sum(
+            zero, ((bullet(qs, omega, xi, yj), ai * bj)
+                   for xi, ai in zip(xs, a) for yj, bj in zip(ys, b))
+        )
+        for slot in range(3):
+            def at(arg):
+                args = [z, w, z]
+                args[slot] = arg
+                return args
+
+            assert gate_brace_geometric(qs, gate, at(X)) == _weighted_sum(
+                zero, ((gate_brace_geometric(qs, gate, at(xi)), ai) for xi, ai in zip(xs, a))
+            )
+            assert mu_total(qs, *at(Y)) == _weighted_sum(
+                zero, ((mu_total(qs, *at(yj)), bj) for yj, bj in zip(ys, b))
+            )
+        assert kk_pairing(qs, omega, X, u) == _weighted_sum(
+            GroupRingElement.zero(), ((kk_pairing(qs, omega, xi, u), ai) for xi, ai in zip(xs, a))
+        )
+
+        d = qs.gate_derivative(gate)
+        words = [random_word(rng, qs.rank, max_len=4) for _ in range(3)]
+        coeffs = [rng.choice((-2, 1, 2)) for _ in words]
+        G = GroupRingElement.collect(zip(words, coeffs))
+        expect_apply = GroupRingElement.zero()
+        expect_delta = GroupRingElement.zero()
+        for v, c in G:
+            expect_apply = expect_apply + c * d.apply_word(v)
+            expect_delta = expect_delta + c * d.delta_word(v)
+        assert d.apply(G) == expect_apply
+        assert d.delta(G) == expect_delta
+        assert d.delta(X) == _weighted_sum(
+            GroupRingElement.zero(), ((d.delta(xi), ai) for xi, ai in zip(xs, a))
+        )
+
+        # a lane diagram of another representative of x, next to class
+        # arguments, gives the value of the class route
+        x = xs[0]
+        path = qs.cyclic_edge_path(x)
+        r = rng.randrange(len(path)) if path else 0
+        rotated = diagram_from_cyclic_path(qs, path[r:] + path[:r])
+        others = [rotated]
+        if rotated.arcs:
+            others.append(_reroute_arc(qs, rotated, rng.randrange(len(rotated.arcs))))
+        for dx in others:
+            assert bullet(qs, omega, dx, Y) == bullet(qs, omega, x, Y)
+            assert bullet(qs, omega, Y, dx) == bullet(qs, omega, Y, x)
+            assert gate_brace_geometric(qs, gate, [z, dx, Y]) == gate_brace_geometric(
+                qs, gate, [z, x, Y]
+            )
+            assert kk_pairing(qs, omega, dx, u) == kk_pairing(qs, omega, x, u)

@@ -83,3 +83,31 @@ def test_serialization_round_trip():
     assert LoopCombination.from_pairs(c.to_pairs()) == c
     # canonical order: by (length, letters)
     assert x.to_pairs() == [[-1, ""], [2, "g1 g2^-1"]]
+
+
+def test_collect_merges_equal_keys_and_drops_zeros():
+    g1, g2 = W((0, 1)), W((1, 1))
+    x = GroupRingElement.collect([(g1, 2), (g2, 1), (g1, 3), (g2, -1), (W(), 0)])
+    assert x.terms == {g1: 5}
+    c = canonical_conjugacy(W((0, 1), (1, 1)))
+    rotated = canonical_conjugacy(W((1, 1), (0, 1)))
+    assert LoopCombination.collect([(c, 1), (rotated, 1)]).terms == {c: 2}
+    assert LoopCombination.collect([(c, 1), (rotated, -1)]).terms == {}
+    assert GroupRingElement.collect([]) == GroupRingElement.zero()
+
+
+def test_containers_of_different_keys_are_not_equal():
+    assert GroupRingElement.zero() != LoopCombination.zero()
+    assert GroupRingElement.zero() == GroupRingElement.zero()
+    assert LoopCombination.zero() == LoopCombination.zero()
+
+
+def test_repr():
+    assert repr(GroupRingElement.zero()) == "GroupRingElement(0)"
+    assert repr(LoopCombination.zero()) == "LoopCombination(0)"
+    assert repr(GroupRingElement.from_pairs([[2, "g1 g2"], [-1, ""]])) == (
+        "GroupRingElement(-1*[] + 2*[g1 g2])"
+    )
+    assert repr(LoopCombination.from_pairs([[1, "g2 g1"], [1, "g1 g2"]])) == (
+        "LoopCombination(2*<g1 g2>)"
+    )
