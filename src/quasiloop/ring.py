@@ -62,6 +62,8 @@ class _Combination:
         return iter(self.terms.items())
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
@@ -71,6 +73,8 @@ class _Combination:
         return type(self)({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __rmul__(self, scalar: int):

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .homotopy import kk_pairing
@@ -22,6 +24,7 @@ from .surface import QuasiSurface
 from .words import ConjClass, Word
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def mat_identity(n: int) -> Matrix:
@@ -31,54 +34,58 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(n)) for i in range(n))
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    """Matrix product; entries may be ``int`` or ``Fraction``."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
+def _split(a: Matrix) -> tuple[IntMatrix, int]:
+    """Integer matrix ``N`` and positive common denominator ``d`` with ``a = N / d``."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
+
+
+def _bareiss(rows: list, n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place, on
+    the first ``n`` columns of integer rows; returns det of that block ``N``.
+    Every entry stays a minor, so each division is exact.  If det != 0 the
+    block ends as ``p*I`` (``p = +-det``) and any further column c as ``p N^-1 c``."""
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev
+
+
 def mat_det(a: Matrix) -> Fraction:
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    det = Fraction(0)
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        det += (-1) ** j * a[0][j] * mat_det(minor)
-    return det
+    num, d = _split(a)
+    return Fraction(_bareiss(list(num), len(num)), d ** len(num))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan over the rationals; raises on a singular matrix."""
-    n = len(a)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Exact inverse by integer elimination; raises on a singular matrix."""
+    num, d = _split(a)
+    n = len(num)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
+    if not _bareiss(rows, n):
+        raise ValueError("matrix is not invertible")
+    p = rows[0][0]  # a^-1 = d * N^-1 = (d / p) * the right block
+    return tuple(tuple(Fraction(d * x, p) for x in row[n:]) for row in rows)
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -87,14 +94,24 @@ def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 @dataclass(frozen=True)
 class RepresentationPoint:
-    """Invertible rational matrices assigned to the free generators."""
+    """Invertible rational matrices assigned to the free generators, each
+    (and its inverse) also kept split as in ``_split``, so that a word is
+    evaluated by integer products and one division."""
 
     n: int
     images: tuple[Matrix, ...]
     inverses: tuple[Matrix, ...]
+    _letters: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        letters = {(g, 1): _split(m) for g, m in enumerate(self.images)}
+        letters.update(((g, -1), _split(m)) for g, m in enumerate(self.inverses))
+        object.__setattr__(self, "_letters", letters)
 
     @classmethod
     def create(cls, n: int, images: Sequence[Sequence[Sequence]]) -> "RepresentationPoint":
+        if n < 1:
+            raise ValueError(f"malformed representation: n must be >= 1, got {n}")
         mats = tuple(_as_matrix(m) for m in images)
         for m in mats:
             if len(m) != n or any(len(row) != n for row in m):
@@ -106,16 +123,26 @@ class RepresentationPoint:
     def rank(self) -> int:
         return len(self.images)
 
+    def _word_split(self, w: Word) -> tuple[IntMatrix, int]:
+        """``_split`` of the word's matrix, by integer products."""
+        num, d = None, 1
+        for letter in w.letters:
+            factor = self._letters.get(letter)
+            if factor is None:
+                raise ValueError(f"no matrix image for generator g{letter[0] + 1}")
+            num = factor[0] if num is None else mat_mul(num, factor[0])
+            d *= factor[1]
+        if num is None:
+            return tuple(tuple(int(i == j) for j in range(self.n)) for i in range(self.n)), 1
+        return num, d
+
     def evaluate_word(self, w: Word) -> Matrix:
-        out = mat_identity(self.n)
-        for g, s in w.letters:
-            if g >= len(self.images):
-                raise ValueError(f"no matrix image for generator g{g + 1}")
-            out = mat_mul(out, self.images[g] if s > 0 else self.inverses[g])
-        return out
+        num, d = self._word_split(w)
+        return tuple(tuple(Fraction(x, d) for x in row) for row in num)
 
     def trace_word(self, w: Word) -> Fraction:
-        return mat_trace(self.evaluate_word(w))
+        num, d = self._word_split(w)
+        return Fraction(sum(num[i][i] for i in range(self.n)), d)
 
     def eval_trace(self, x: "LoopCombination | ConjClass | GroupRingElement | Word") -> Fraction:
         """Trace of a class combination (or of a group-ring element);
@@ -151,10 +178,12 @@ class RepresentationPoint:
                 idx = int(token[1:]) - 1
                 if not 0 <= idx < len(raw):
                     raise ValueError(f"generator token {token!r} out of range")
-                images[idx] = [[Fraction(x) for x in row] for row in rows]
-        except (KeyError, TypeError, AttributeError) as exc:
+                if any(isinstance(x, bool) for row in rows for x in row):
+                    raise TypeError(f"{token} has an entry that is not a number")
+                images[idx] = rows
+            return cls.create(n, images)
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed representation: {exc}") from exc
-        return cls.create(n, images)
 
 
 def load_representation(path: str) -> RepresentationPoint:
@@ -169,20 +198,19 @@ def random_unimodular(n: int, seed, det_one: bool = False) -> Matrix:
     if n == 1:
         sign = 1 if det_one else rng.choice((1, -1))
         return ((Fraction(sign),),)
-    m = mat_identity(n)
+    m = [[int(a == b) for b in range(n)] for a in range(n)]
     for _ in range(2 * n + rng.randrange(3)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        shear = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-        shear[i][j] = Fraction(rng.choice((-2, -1, 1, 2)))
-        m = mat_mul(m, tuple(tuple(row) for row in shear))
+        c = rng.choice((-2, -1, 1, 2))
+        for row in m:  # m <- m (I + c e_ij)
+            row[j] += c * row[i]
     if not det_one and rng.random() < 0.5:
-        flip = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-        flip[0][0] = Fraction(-1)
-        m = mat_mul(m, tuple(tuple(row) for row in flip))
-    return m
+        for row in m:  # m <- m diag(-1, 1, ..., 1)
+            row[0] = -row[0]
+    return _as_matrix(m)
 
 
 def random_representation(
@@ -264,19 +292,10 @@ def verify_sl2_consistency(
         if mat_det(m) != 1:
             raise ValueError("all generator images must have determinant 1")
 
-    def d_matrix(w: Word) -> Matrix:
-        out = [[Fraction(0)] * 2 for _ in range(2)]
-        for word, c in kk_pairing(qs, omega, x, w).terms.items():
-            m = rho.evaluate_word(word)
-            for i in range(2):
-                for j in range(2):
-                    out[i][j] += c * m[i][j]
-        return tuple(tuple(row) for row in out)
-
     def d(w: Word) -> Fraction:
         return rho.eval_trace(kk_pairing(qs, omega, x, w))
 
-    det_derivative = mat_trace(mat_mul(d_matrix(v), mat_inverse(rho.evaluate_word(v))))
+    det_derivative = rho.eval_trace(kk_pairing(qs, omega, x, v).right_mul(~v))
     lhs = d(u * v) + d(u * ~v) + det_derivative * rho.trace_word(u * ~v)
     rhs = d(u) * rho.trace_word(v) + rho.trace_word(u) * d(v)
     return DerivationReport(lhs, rhs)

@@ -171,6 +171,27 @@ def test_trace_eval_rep_without_n(capsys, tmp_path):
     assert json.loads(err)["error"].startswith("malformed representation")
 
 
+@pytest.mark.parametrize(
+    "rep",
+    [
+        {"n": 1, "images": {"g1": [["1/0"]]}},
+        {"n": 0, "images": {}},
+        {"n": 1, "images": {"g1": [[True]]}},
+    ],
+    ids=["zero_denominator", "n_zero", "bool_entry"],
+)
+def test_trace_eval_malformed_rep(capsys, tmp_path, rep):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep), encoding="utf-8")
+    code, out, err = run(
+        capsys, "trace-eval", "--spec", "fixture:qt2", "--rep", str(path),
+        "--expr", "g1 g2^-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"].startswith("malformed representation: ")
+
+
 def test_bracket_with_trace(capsys, tmp_path):
     rep = {"n": 1, "images": {"g1": [["3"]]}}
     path = tmp_path / "rep.json"

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from quasiloop.ring import GroupRingElement, LoopCombination, project_to_classes
@@ -100,6 +101,20 @@ def test_containers_of_different_keys_are_not_equal():
     assert GroupRingElement.zero() != LoopCombination.zero()
     assert GroupRingElement.zero() == GroupRingElement.zero()
     assert LoopCombination.zero() == LoopCombination.zero()
+
+
+def test_containers_of_different_keys_do_not_mix():
+    loops = LoopCombination.from_word(W((0, 1)))
+    group = GroupRingElement.one()
+    for a, b in ((LoopCombination.zero(), group), (group, loops)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            b + a
+        with pytest.raises(TypeError):
+            a - b
+        with pytest.raises(TypeError):
+            b - a
 
 
 def test_repr():

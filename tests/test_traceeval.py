@@ -47,8 +47,14 @@ def test_rational_entries_and_inverses():
 
 
 def test_singular_image_rejected():
-    with pytest.raises(ValueError, match="not invertible"):
-        RepresentationPoint.create(2, [[[1, 1], [1, 1]]])
+    for image in (
+        [[1, 1], [1, 1]],
+        [[0, 0], [0, 0]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
+        [[1, 2, 3], [Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)], [0, 1, 4]],
+    ):
+        with pytest.raises(ValueError, match="not invertible"):
+            RepresentationPoint.create(len(image), [image])
 
 
 def test_missing_generator_image(qt2):
@@ -170,6 +176,70 @@ def test_random_unimodular_deterministic():
 def test_matrix_helpers():
     m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
     assert mat_mul(m, mat_inverse(m)) == mat_identity(2)
+
+
+def _cofactor_det(a):
+    """Reference determinant: cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * _cofactor_det(tuple(row[:j] + row[j + 1 :] for row in a[1:]))
+        for j in range(len(a))
+    )
+
+
+def _fraction_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _fraction_word(rho, w):
+    """Reference word matrix: a plain Fraction product, letter by letter."""
+    out = mat_identity(rho.n)
+    for g, s in w.letters:
+        out = _fraction_mul(out, rho.images[g] if s > 0 else rho.inverses[g])
+    return out
+
+
+def _rational_matrix(rng, n):
+    while True:
+        m = tuple(
+            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n))
+            for _ in range(n)
+        )
+        if _cofactor_det(m) != 0:
+            return m
+
+
+def test_integer_route_equals_fraction_route():
+    rng = random.Random(58)
+    points = [(n, [random_unimodular(n, rng) for _ in range(3)]) for n in range(1, 7)]
+    points += [(n, [_rational_matrix(rng, n) for _ in range(3)]) for n in (1, 2, 3) for _ in range(4)]
+    for n, images in points:
+        rho = RepresentationPoint.create(n, images)
+        identity = mat_identity(n)
+        for m, inv in zip(rho.images, rho.inverses):
+            assert mat_det(m) == _cofactor_det(m)
+            assert mat_det(inv) == 1 / _cofactor_det(m)
+            assert mat_inverse(m) == inv
+            assert _fraction_mul(m, inv) == identity == _fraction_mul(inv, m)
+        assert rho.trace_word(Word()) == n
+        assert rho.evaluate_word(Word()) == identity
+        combination = LoopCombination.zero()
+        for coeff in (2, -1, 1):
+            w = random_word(rng, 3, max_len=8)
+            expected = _fraction_word(rho, w)
+            assert rho.evaluate_word(w) == expected
+            assert rho.trace_word(w) == rho.eval_trace(w) == sum(expected[i][i] for i in range(n))
+            combination = combination + LoopCombination.from_word(w, coeff)
+        assert rho.eval_trace(combination) == sum(
+            c * sum(_fraction_word(rho, k.representative())[i][i] for i in range(n))
+            for k, c in combination.terms.items()
+        )
+        assert all(type(x) is Fraction for row in rho.evaluate_word(w) for x in row)
 
 
 def test_representation_json_round_trip(qg1):
