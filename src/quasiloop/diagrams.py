@@ -20,11 +20,11 @@ intersection forms downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .surface import EdgePath, EdgeStep, QuasiSurface
-from .words import ConjClass, Word, canonical_conjugacy
+from .words import ConjClass, Letter, Word, _reduce, _word, canonical_conjugacy
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,10 @@ def arc_gates(qs: QuasiSurface, arc: DiskArc) -> tuple[str, str]:
 
 
 def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
+    for path in d.paths:
+        for _, sign in path:
+            if sign != 1 and sign != -1:
+                raise ValueError(f"malformed diagram: path step sign must be +1 or -1, got {sign!r}")
     if not d.arcs:
         if len(d.paths) > 1:
             raise ValueError("an arc-free diagram carries at most one closed path")
@@ -177,9 +181,28 @@ class _RArc:
 
 @dataclass
 class _RLoop:
+    """A realized loop.  Its generator letters are collapsed once, and its
+    rotation words are cached on it, so a loop realized once per operation
+    serves every family of that operation."""
+
     edge_path: EdgePath  # detours included; positions below index into it
     arcs: list[_RArc]
     cyclic: bool
+    letters: tuple[Letter, ...]  # the generator letters of edge_path, unreduced
+    before: list[int]  # before[i]: the number of letters in edge_path[:i]
+    rotations: dict[int, Word] = field(default_factory=dict)
+
+    def rotation(self, cut: int) -> Word:
+        """The loop's word read from edge position ``cut`` around to it."""
+        k = self.before[cut]
+        word = self.rotations.get(k)
+        if word is None:
+            word = self.rotations[k] = _word(_reduce(self.letters[k:] + self.letters[:k]))
+        return word
+
+
+def _rloop(qs: QuasiSurface, steps: EdgePath, arcs: list[_RArc], cyclic: bool) -> _RLoop:
+    return _RLoop(steps, arcs, cyclic, *qs.collapse(steps))
 
 
 def _lane_route(m: int, a: int, b: int) -> list[tuple[int, bool]]:
@@ -203,7 +226,7 @@ def _passage_hops(qs: QuasiSurface, gate_in: int, gate_out: int) -> tuple[int, l
 
 def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
     if not d.arcs:
-        return _RLoop(d.paths[0] if d.paths else (), [], cyclic=True)
+        return _rloop(qs, d.paths[0] if d.paths else (), [], cyclic=True)
     steps: list[EdgeStep] = []
     arcs: list[_RArc] = []
     for arc, ypath in zip(d.arcs, d.paths):
@@ -213,7 +236,7 @@ def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
         steps.append((qs.gate_edge[leave], -1))
         steps.extend(ypath)
         arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, entry_pos, entry_pos + 1))
-    return _RLoop(tuple(steps), arcs, cyclic=True)
+    return _rloop(qs, tuple(steps), arcs, cyclic=True)
 
 
 def _append_passage(
@@ -238,7 +261,8 @@ def _append_passage(
         arcs.append(_RArc(disk, lane, depth_counter[key], reverse, entry_pos, entry_pos + 1))
 
 
-def _realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
+def realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
+    """A based loop realized for :class:`GenericFamily`."""
     path = qs.edge_path_of_word(w)
     steps: list[EdgeStep] = []
     arcs: list[_RArc] = []
@@ -256,7 +280,7 @@ def _realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
         assert gate_out is not None and d2 < 0
         _append_passage(qs, steps, arcs, depth_counter, qs.edges[e].gate, gate_out)
         i += 2
-    return _RLoop(tuple(steps), arcs, cyclic=False)
+    return _rloop(qs, tuple(steps), arcs, cyclic=False)
 
 
 def word_to_diagram(qs: QuasiSurface, c: ConjClass) -> LaneDiagram:
@@ -314,15 +338,11 @@ def diagram_from_cyclic_path(qs: QuasiSurface, path: EdgePath) -> LaneDiagram:
     return LaneDiagram(out_arcs, tuple(out_paths))
 
 
-def diagram_edge_path(qs: QuasiSurface, d: LaneDiagram) -> EdgePath:
-    return _realize_cyclic(qs, d).edge_path
-
-
 def diagram_to_word(qs: QuasiSurface, d: LaneDiagram) -> ConjClass:
     """The conjugacy class a lane diagram represents: gate edges from the
     arcs, singular paths verbatim, spanning tree collapsed."""
     validate_diagram(qs, d)
-    return canonical_conjugacy(qs.word_from_edge_path(diagram_edge_path(qs, d)))
+    return canonical_conjugacy(_realize_cyclic(qs, d).rotation(0))
 
 
 def diagram_to_json(qs: QuasiSurface, d: LaneDiagram) -> dict:
@@ -406,27 +426,30 @@ class GenericFamily:
 
     With ``normalize=False`` the given depths are taken verbatim (they
     must already be pairwise distinct per lane); this is how explicitly
-    pre-combined families enter the forms."""
+    pre-combined families enter the forms.
+
+    The family keeps its depths in ``depths[loop][arc]`` and never writes
+    to its loops, so one realized loop can serve many families."""
 
     def __init__(self, qs: QuasiSurface, loops: Sequence[_RLoop], normalize: bool = True):
         self.qs = qs
         self.loops = list(loops)
+        self.depths = [[arc.depth for arc in rl.arcs] for rl in self.loops]
         if normalize:
             self._assign_depths()
         else:
             self._check_depths()
         self._order_gates()
-        self._rotations: dict[tuple[int, int, bool], Word] = {}
 
     def _assign_depths(self) -> None:
-        lanes: dict[tuple[int, int], list[tuple[int, int, _RArc]]] = {}
+        lanes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for loop_idx, rl in enumerate(self.loops):
-            for arc in rl.arcs:
-                lanes.setdefault((arc.disk, arc.lane), []).append((loop_idx, arc.depth, arc))
+            for arc_idx, arc in enumerate(rl.arcs):
+                lanes.setdefault((arc.disk, arc.lane), []).append((loop_idx, arc.depth, arc_idx))
         for members in lanes.values():
-            members.sort(key=lambda t: (t[0], t[1]))
-            for new_depth, (_, _, arc) in enumerate(members, start=1):
-                arc.depth = new_depth
+            members.sort()
+            for new_depth, (loop_idx, _, arc_idx) in enumerate(members, start=1):
+                self.depths[loop_idx][arc_idx] = new_depth
 
     def _check_depths(self) -> None:
         seen: set[tuple[int, int, int]] = set()
@@ -443,24 +466,21 @@ class GenericFamily:
     def _order_gates(self) -> None:
         qs = self.qs
         self._gate_seq: dict[str, tuple[CrossingRef, ...]] = {}
-        by_lane: dict[tuple[int, int], list[tuple[int, int, _RArc]]] = {}
+        by_lane: dict[tuple[int, int], list[tuple[int, int, int, _RArc]]] = {}
         for loop_idx, rl in enumerate(self.loops):
             for arc_idx, arc in enumerate(rl.arcs):
-                by_lane.setdefault((arc.disk, arc.lane), []).append((loop_idx, arc_idx, arc))
+                depth = self.depths[loop_idx][arc_idx]
+                by_lane.setdefault((arc.disk, arc.lane), []).append((depth, loop_idx, arc_idx, arc))
         for gate in qs.gates:
             disk, pos = qs.gate_position[gate]
             m = len(qs.disk_gates(disk))
-            prev_members = sorted(
-                by_lane.get((disk, (pos - 1) % m), ()), key=lambda t: t[2].depth
-            )
-            next_members = sorted(
-                by_lane.get((disk, pos), ()), key=lambda t: -t[2].depth
-            )
+            prev_members = sorted(by_lane.get((disk, (pos - 1) % m), ()), key=lambda t: t[0])
+            next_members = sorted(by_lane.get((disk, pos), ()), key=lambda t: -t[0])
             seq: list[CrossingRef] = []
-            for loop_idx, arc_idx, arc in prev_members:
+            for _, loop_idx, arc_idx, arc in prev_members:
                 entry = arc.reverse  # the far endpoint of the lane is the entry of a reverse arc
                 seq.append(CrossingRef(loop_idx, arc_idx, entry, 1 if entry else -1, gate))
-            for loop_idx, arc_idx, arc in next_members:
+            for _, loop_idx, arc_idx, arc in next_members:
                 entry = not arc.reverse
                 seq.append(CrossingRef(loop_idx, arc_idx, entry, 1 if entry else -1, gate))
             self._gate_seq[gate] = tuple(seq)
@@ -488,11 +508,11 @@ class GenericFamily:
 
     def diagrams(self) -> tuple[LaneDiagram, ...]:
         out = []
-        for rl in self.loops:
+        for rl, depths in zip(self.loops, self.depths):
             if not rl.arcs:
                 out.append(LaneDiagram((), (rl.edge_path,) if rl.edge_path else ()))
                 continue
-            arcs = tuple(DiskArc(a.disk, a.lane, a.depth, a.reverse) for a in rl.arcs)
+            arcs = tuple(DiskArc(a.disk, a.lane, d, a.reverse) for a, d in zip(rl.arcs, depths))
             paths = []
             for i, arc in enumerate(rl.arcs):
                 lo = arc.exit_pos + 1
@@ -504,28 +524,17 @@ class GenericFamily:
     def rotation_word(self, ref: CrossingRef) -> Word:
         """The loop reparametrized to start on the gate: at its entry
         letter for a +1 crossing, right after its exit letter for a -1."""
-        key = (ref.loop, ref.arc, ref.entry)
-        cached = self._rotations.get(key)
-        if cached is not None:
-            return cached
         rl = self.loops[ref.loop]
         if not rl.cyclic:
             raise ValueError("rotation words are only defined for circular loops")
         arc = rl.arcs[ref.arc]
-        path = rl.edge_path
-        cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
-        word = self.qs.word_from_edge_path(path[cut:] + path[:cut])
-        self._rotations[key] = word
-        return word
+        return rl.rotation(arc.entry_pos if ref.entry else arc.exit_pos + 1)
 
     def exit_rotation_word(self, loop: int, arc_idx: int) -> Word:
         """The loop reparametrized to start at an arc's exit letter; the
         grafting word of a declared surface crossing on that arc."""
         rl = self.loops[loop]
-        arc = rl.arcs[arc_idx]
-        path = rl.edge_path
-        cut = arc.exit_pos
-        return self.qs.word_from_edge_path(path[cut:] + path[:cut])
+        return rl.rotation(rl.arcs[arc_idx].exit_pos)
 
     def splice_words(self, ref: CrossingRef) -> tuple[Word, Word]:
         """(prefix, suffix) of a based loop cut at a crossing: before the
@@ -534,10 +543,8 @@ class GenericFamily:
         if rl.cyclic:
             raise ValueError("splice words are only defined for based loops")
         arc = rl.arcs[ref.arc]
-        cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
-        prefix = self.qs.word_from_edge_path(rl.edge_path[:cut])
-        suffix = self.qs.word_from_edge_path(rl.edge_path[cut:])
-        return prefix, suffix
+        k = rl.before[arc.entry_pos if ref.entry else arc.exit_pos + 1]
+        return _word(_reduce(rl.letters[:k])), _word(_reduce(rl.letters[k:]))
 
 
 def combine_generic(
@@ -546,12 +553,17 @@ def combine_generic(
     """Put loops in generic position: per lane, earlier arguments take
     the smaller depths as one block, keeping each loop's internal nesting;
     per-gate crossing orders are recomputed."""
-    realized = []
-    for x in inputs:
-        d = as_diagram(qs, x)
-        validate_diagram(qs, d)
-        realized.append(_realize_cyclic(qs, d))
-    return GenericFamily(qs, realized)
+    return GenericFamily(qs, [realize_loop(qs, x) for x in inputs])
+
+
+def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoop:
+    """One circular loop realized for :class:`GenericFamily`; a lane diagram
+    given from outside is validated first.  Realize each loop of an
+    operation once and pass it to every family that uses it."""
+    if isinstance(x, LaneDiagram):
+        validate_diagram(qs, x)
+        return _realize_cyclic(qs, x)
+    return _realize_cyclic(qs, as_diagram(qs, x))
 
 
 def explicit_pair(
@@ -577,15 +589,6 @@ def explicit_pair(
             on_0, on_1 = on_1, on_0
         declared.append((on_0[1], on_1[1], s))
     return fam, declared
-
-
-def combine_with_based(
-    qs: QuasiSurface, diagram: "LaneDiagram | ConjClass", based: Word
-) -> GenericFamily:
-    """Combine a circular loop (index 0) with a based loop (index 1)."""
-    d = as_diagram(qs, diagram)
-    validate_diagram(qs, d)
-    return GenericFamily(qs, [_realize_cyclic(qs, d), _realize_based(qs, based)])
 
 
 # --- gate orientations --------------------------------------------------

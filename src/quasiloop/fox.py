@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from .ring import GroupRingElement, LoopCombination, project_to_classes
-from .words import ConjClass, Word
+from .words import ConjClass, Word, _word
 
 
 class FoxDerivative:
@@ -55,18 +55,19 @@ class FoxDerivative:
         return GroupRingElement.collect(self._word_terms(w))
 
     def _word_terms(self, w: Word) -> Iterator[tuple[Word, int]]:
-        """The terms of d(w), before merging."""
-        prefix = Word()
-        for g, s in w.letters:
+        """The terms of d(w), before merging; the prefixes of the reduced
+        word ``w`` are reduced, so they are taken as they stand."""
+        letters = w.letters
+        for i, (g, s) in enumerate(letters):
             img = self._image(g)
             if s > 0:
+                prefix = _word(letters[:i])
                 for u, c in img:
                     yield prefix * u, c
             else:
-                left = prefix * Word.generator(g, -1)
+                left = _word(letters[: i + 1])
                 for u, c in img:
                     yield left * u, -c
-            prefix = prefix * Word.generator(g, s)
 
     def apply(self, x: "GroupRingElement | Word") -> GroupRingElement:
         if isinstance(x, Word):

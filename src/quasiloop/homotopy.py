@@ -19,14 +19,14 @@ from .diagrams import (
     ExplicitDiagram,
     GenericFamily,
     LaneDiagram,
-    combine_generic,
-    combine_with_based,
     explicit_pair,
     parse_omega,
+    realize_based,
+    realize_loop,
 )
 from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
-from .words import ConjClass, Word, canonical_conjugacy
+from .words import ConjClass, Word, _word, canonical_conjugacy
 
 
 def _loop_terms(x):
@@ -44,12 +44,13 @@ def _loop_terms(x):
 def _families(qs: QuasiSurface, args: Sequence) -> Iterator[tuple[GenericFamily, int]]:
     """The multilinear extension over loop arguments: the generic family
     of each choice of one term per argument, with the product of the
-    chosen coefficients."""
-    for picks in itertools.product(*map(_loop_terms, args)):
+    chosen coefficients.  Each term is realized once, for all families."""
+    terms = [[(realize_loop(qs, k), c) for k, c in _loop_terms(a)] for a in args]
+    for picks in itertools.product(*terms):
         coeff = 1
         for _, c in picks:
             coeff *= c
-        yield combine_generic(qs, [k for k, _ in picks]), coeff
+        yield GenericFamily(qs, [rl for rl, _ in picks]), coeff
 
 
 def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCombination:
@@ -71,7 +72,7 @@ def _gate_brace_terms(gate: str, fam: GenericFamily) -> Iterator[tuple[ConjClass
     per_loop = [fam.crossings_of(gate, i) for i in range(len(fam.loops))]
     for combo in itertools.product(*per_loop):
         sign = 1
-        word = Word()
+        word = _word(())
         for ref in combo:
             sign *= ref.sign
             word = word * fam.rotation_word(ref)
@@ -131,10 +132,11 @@ def kk_pairing(
     loop into a based loop returns a group-ring element, a derivation of
     the group algebra in the based slot."""
     signs = parse_omega(qs, omega)
+    based = realize_based(qs, y)
 
     def terms() -> Iterator[tuple[Word, int]]:
         for kx, cx in _loop_terms(x):
-            fam = combine_with_based(qs, kx, y)
+            fam = GenericFamily(qs, [realize_loop(qs, kx), based])
             for p, q, coeff in fam.crossing_pairs(signs):
                 prefix, suffix = fam.splice_words(q)
                 yield prefix * fam.rotation_word(p) * suffix, cx * coeff

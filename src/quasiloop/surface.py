@@ -33,6 +33,7 @@ from .fox import FoxDerivative
 from .ring import GroupRingElement
 from .words import (
     ConjClass,
+    Letter,
     Word,
     _reduce,
     canonical_conjugacy,
@@ -253,14 +254,23 @@ class QuasiSurface:
 
     # --- words and edge paths -------------------------------------------
 
-    def word_from_edge_path(self, path: Iterable[EdgeStep]) -> Word:
+    def word_from_edge_path(self, path: Sequence[EdgeStep]) -> Word:
         """Collapse the spanning tree: a closed edge path becomes a group word."""
-        letters = []
+        return Word(self.collapse(path)[0])
+
+    def collapse(self, path: Sequence[EdgeStep]) -> tuple[tuple[Letter, ...], list[int]]:
+        """The generator letters of an edge path, unreduced, and for each
+        position ``i <= len(path)`` the number of letters in ``path[:i]``."""
+        gen_of_edge = self._gen_of_edge
+        letters: list[Letter] = []
+        before = []
         for e, d in path:
-            g = self._gen_of_edge.get(e)
+            before.append(len(letters))
+            g = gen_of_edge.get(e)
             if g is not None:
                 letters.append((g, -d))
-        return Word(letters)
+        before.append(len(letters))
+        return tuple(letters), before
 
     def edge_path_of_word(self, w: Word) -> EdgePath:
         path: list[EdgeStep] = []

@@ -39,10 +39,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def _split(a: Matrix) -> tuple[IntMatrix, int]:
     """Integer matrix ``N`` and positive common denominator ``d`` with ``a = N / d``."""
     d = lcm(*(x.denominator for row in a for x in row))
@@ -169,7 +165,9 @@ class RepresentationPoint:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RepresentationPoint":
         try:
-            n = int(data["n"])
+            n = data["n"]
+            if type(n) is not int:
+                raise TypeError(f"n must be an integer, got {n!r}")
             raw: Mapping[str, list] = data["images"]
             images: list = [None] * len(raw)
             for token, rows in raw.items():
@@ -178,8 +176,8 @@ class RepresentationPoint:
                 idx = int(token[1:]) - 1
                 if not 0 <= idx < len(raw):
                     raise ValueError(f"generator token {token!r} out of range")
-                if any(isinstance(x, bool) for row in rows for x in row):
-                    raise TypeError(f"{token} has an entry that is not a number")
+                if any(isinstance(x, (bool, float)) for row in rows for x in row):
+                    raise TypeError(f"{token} has an entry that is not an integer or a string")
                 images[idx] = rows
             return cls.create(n, images)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:

@@ -5,6 +5,13 @@ A letter is a pair ``(g, s)`` with generator index ``g >= 0`` and sign
 adjacencies).  A conjugacy class is stored as a cyclically reduced word in
 a canonical rotation, so structural equality decides conjugacy.
 
+Letters are validated once, where they enter: the public constructor
+``Word(...)`` and :func:`parse_word` check every sign and index and reduce.
+Inside the engine, words whose letters are already valid and reduced are
+built through the trusted constructor :func:`_word`, which checks nothing;
+products cancel only at the seam, and inverses and rotations of reduced
+words are not reduced again.
+
 Only the abstract free group lives here; how its generators arise from a
 quasi-surface presentation is the business of :mod:`quasiloop.surface`.
 The coefficient ring is fixed to the integers throughout the package
@@ -19,17 +26,26 @@ from typing import Iterable, Iterator
 Letter = tuple[int, int]
 
 
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+def _checked(letters: Iterable[Letter]) -> list[Letter]:
+    """Letters from outside, as ``(g, s)`` tuples; raises on a bad sign or index."""
     out: list[Letter] = []
     for g, s in letters:
-        if s != 1 and s != -1:
+        if type(s) is not int or (s != 1 and s != -1):
             raise ValueError(f"letter sign must be +1 or -1, got {s!r}")
-        if g < 0:
-            raise ValueError(f"generator index must be >= 0, got {g!r}")
-        if out and out[-1][0] == g and out[-1][1] == -s:
+        if type(g) is not int or g < 0:
+            raise ValueError(f"generator index must be an integer >= 0, got {g!r}")
+        out.append((g, s))
+    return out
+
+
+def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """Free reduction of valid letters (or edge steps); checks nothing."""
+    out: list[Letter] = []
+    for letter in letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
         else:
-            out.append((g, s))
+            out.append(letter)
     return tuple(out)
 
 
@@ -45,7 +61,7 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        self.letters = _reduce(letters)
+        self.letters = _reduce(_checked(letters))
 
     @classmethod
     def generator(cls, g: int, sign: int = 1) -> "Word":
@@ -70,15 +86,23 @@ class Word:
         return hash(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n:
+            g, s = a[-1 - k]
+            h, t = b[k]
+            if g != h or s != -t:
+                break
+            k += 1
+        return _word(a[: len(a) - k] + b[k:])
 
     def __invert__(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
-        result = Word()
+        result = _word(())
         for _ in range(n):
             result = result * self
         return result
@@ -92,6 +116,14 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
+
+
+def _word(letters: tuple[Letter, ...]) -> Word:
+    """The trusted constructor: ``letters`` must be a tuple of valid letters
+    that is already reduced; nothing is checked."""
+    w = object.__new__(Word)
+    w.letters = letters
+    return w
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -112,11 +144,18 @@ def cyclic_reduction(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 
 def minimal_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The rotation whose :func:`letter_key` sequence is least; only the
+    rotations that start at the least key are compared."""
     if len(letters) <= 1:
         return letters
-    keys = tuple(letter_key(l) for l in letters)
-    n = len(keys)
-    best = min(range(n), key=lambda i: keys[i:] + keys[:i])
+    keys = [2 * g + (s < 0) for g, s in letters]  # letter_key, inlined
+    least = min(keys)
+    starts = [i for i, k in enumerate(keys) if k == least]
+    best = starts[0]
+    if len(starts) > 1:
+        n = len(keys)
+        keys += keys
+        best = min(starts, key=lambda i: keys[i : i + n])
     return letters[best:] + letters[:best]
 
 
@@ -164,7 +203,7 @@ def canonical_conjugacy(w: Word) -> ConjClass:
     """Map a word to its conjugacy class: cyclic reduction, then the
     lexicographically minimal rotation under :func:`letter_key`."""
     letters = minimal_rotation(cyclic_reduction(w.letters))
-    return ConjClass(Word(letters), _canonical=True)
+    return ConjClass(_word(letters), _canonical=True)
 
 
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,8 +180,11 @@ def test_trace_eval_rep_without_n(capsys, tmp_path):
         {"n": 1, "images": {"g1": [["1/0"]]}},
         {"n": 0, "images": {}},
         {"n": 1, "images": {"g1": [[True]]}},
+        {"n": True, "images": {"g1": [["3"]]}},
+        {"n": 1.9, "images": {"g1": [["3"]]}},
+        {"n": 1, "images": {"g1": [[0.1]]}},
     ],
-    ids=["zero_denominator", "n_zero", "bool_entry"],
+    ids=["zero_denominator", "n_zero", "bool_entry", "bool_n", "float_n", "float_entry"],
 )
 def test_trace_eval_malformed_rep(capsys, tmp_path, rep):
     path = tmp_path / "rep.json"
@@ -221,13 +227,18 @@ def test_diagram_input(capsys, tmp_path):
 
 
 def test_malformed_diagram_input(capsys, tmp_path):
-    # a top-level list and a one-element path step are malformed diagrams
-    for name, data in (("list", []), ("step", {"paths": [[["g1"]]]})):
+    # a top-level list, a one-element path step and a step of sign 2 are
+    # malformed diagrams
+    for name, spec, data, y in (
+        ("list", "qg1", [], "g1 g3^-1"),
+        ("step", "qg1", {"paths": [[["g1"]]]}, "g1 g3^-1"),
+        ("sign", "qy1", {"arcs": [], "paths": [[["e1", 2]]]}, "e1"),
+    ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         code, out, err = run(
-            capsys, "bullet", "--spec", "fixture:qg1",
-            "--x", f"@{path}", "--y", "g1 g3^-1",
+            capsys, "bullet", "--spec", f"fixture:{spec}",
+            "--x", f"@{path}", "--y", y,
         )
         assert code == 1
         assert out == ""
@@ -294,3 +305,22 @@ def test_bracket_omega_independent(capsys):
         outs.append(json.loads(out)["value"])
     assert all(v == outs[0] for v in outs)
     assert outs[0] == [[2, "g1 g4^-1 g2 g3^-1"]]
+
+
+def test_cli_import_loads_only_stdlib_and_package():
+    # the runtime is stdlib only, and the CLI's import graph is what every
+    # one-shot call pays for
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import quasiloop.cli; print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "quasiloop.cli" in out
+    foreign = [
+        m for m in out
+        if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "quasiloop"
+    ]
+    assert foreign == []

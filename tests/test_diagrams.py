@@ -5,17 +5,21 @@ import pytest
 from quasiloop.diagrams import (
     DiskArc,
     ExplicitDiagram,
+    GenericFamily,
     LaneDiagram,
     SurfaceCrossing,
     combine_generic,
     diagram_from_cyclic_path,
     diagram_to_word,
     dual_v,
+    explicit_pair,
+    realize_based,
+    realize_loop,
     validate_diagram,
     word_to_diagram,
 )
-from quasiloop.randomcase import random_class, random_surface
-from quasiloop.words import format_word
+from quasiloop.randomcase import random_class, random_surface, random_word
+from quasiloop.words import Word, canonical_conjugacy, format_word
 
 
 def test_single_arc_diagram(qt2):
@@ -154,6 +158,20 @@ def test_validate_diagram_catches_broken_chain(qd2):
         validate_diagram(qd2, bad)
 
 
+def test_validate_diagram_catches_step_sign(qy1):
+    # a closed one-edge path whose step has sign 2: every route that takes
+    # a diagram from outside validates it before realizing it
+    bad = LaneDiagram((), (((0, 2),),))
+    for route in (
+        lambda: validate_diagram(qy1, bad),
+        lambda: diagram_to_word(qy1, bad),
+        lambda: combine_generic(qy1, [bad]),
+        lambda: explicit_pair(qy1, ExplicitDiagram((bad, bad), ())),
+    ):
+        with pytest.raises(ValueError, match="^malformed diagram: path step sign"):
+            route()
+
+
 def test_explicit_diagram_validation(qt2):
     z = word_to_diagram(qt2, qt2.parse_loop("g1 g2^-1"))
     with pytest.raises(ValueError, match="unknown loop"):
@@ -196,3 +214,56 @@ def test_redepth_preserves_class():
         combined = combine_generic(qs, [word_to_diagram(qs, x), word_to_diagram(qs, y)])
         for diagram, expect in zip(_permute_depths(rng, combined.diagrams()), (x, y)):
             assert diagram_to_word(qs, diagram) == expect
+
+
+def rotated_path_word(qs, rl, cut):
+    """Reference: collapse the edge path rotated to start at ``cut``."""
+    return qs.word_from_edge_path(rl.edge_path[cut:] + rl.edge_path[:cut])
+
+
+def test_rotation_words_equal_collapsed_rotated_paths():
+    rng = random.Random(31)
+    for _ in range(80):
+        qs = random_surface(rng)
+        x, y = (random_class(rng, qs.rank, max_len=8) for _ in range(2))
+        fam = combine_generic(qs, [x, y, x])
+        for gate in qs.gates:
+            for ref in fam.gate_sequence(gate):
+                rl = fam.loops[ref.loop]
+                arc = rl.arcs[ref.arc]
+                cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
+                assert fam.rotation_word(ref) == rotated_path_word(qs, rl, cut)
+                assert fam.exit_rotation_word(ref.loop, ref.arc) == rotated_path_word(
+                    qs, rl, arc.exit_pos
+                )
+        # the splice words of a based loop, against the collapsed halves
+        based = realize_based(qs, random_word(rng, qs.rank, max_len=8))
+        fam = GenericFamily(qs, [realize_loop(qs, x), based])
+        for gate in qs.gates:
+            for ref in fam.crossings_of(gate, 1):
+                arc = based.arcs[ref.arc]
+                cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
+                assert fam.splice_words(ref) == (
+                    qs.word_from_edge_path(based.edge_path[:cut]),
+                    qs.word_from_edge_path(based.edge_path[cut:]),
+                )
+
+
+def is_letter_tuple(w):
+    return type(w.letters) is tuple and all(
+        type(l) is tuple and len(l) == 2 and type(l[0]) is int and l[0] >= 0
+        and type(l[1]) is int and l[1] in (1, -1)
+        for l in w.letters
+    )
+
+
+def test_word_letters_keep_their_shape():
+    # Word.letters stays a tuple of (int, +-1) pairs on every engine route
+    rng = random.Random(32)
+    for _ in range(40):
+        qs = random_surface(rng)
+        u, v = (random_word(rng, qs.rank, max_len=8) for _ in range(2))
+        words = [u * v, ~u, canonical_conjugacy(u * v).word, Word([list(l) for l in u])]
+        fam = combine_generic(qs, [canonical_conjugacy(u), canonical_conjugacy(v)])
+        words += [fam.rotation_word(ref) for g in qs.gates for ref in fam.gate_sequence(g)]
+        assert all(is_letter_tuple(w) for w in words)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from quasiloop.homology import first_form
 from quasiloop.homotopy import bullet, gate_brace_geometric, kk_pairing, second_bracket
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
 from quasiloop.ring import LoopCombination, project_to_classes
-from quasiloop.words import canonical_conjugacy
+from quasiloop.words import Word, canonical_conjugacy
 
 
 def lc(qs, text, coeff=1):
@@ -412,3 +413,57 @@ def test_operations_are_linear_in_every_slot():
                 qs, gate, [z, x, Y]
             )
             assert kk_pairing(qs, omega, dx, u) == kk_pairing(qs, omega, x, u)
+
+
+def fresh_rotation(qs, fam, ref):
+    """Reference rotation word: collapse the rotated edge path."""
+    rl = fam.loops[ref.loop]
+    arc = rl.arcs[ref.arc]
+    cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
+    return qs.word_from_edge_path(rl.edge_path[cut:] + rl.edge_path[:cut])
+
+
+def fresh_bullet(qs, omega, x, y):
+    """Reference: a fresh ``combine_generic`` family for every pair of terms."""
+    terms = []
+    for (kx, cx), (ky, cy) in itertools.product(x.terms.items(), y.terms.items()):
+        fam = combine_generic(qs, [kx, ky])
+        for p, q, c in fam.crossing_pairs(omega):
+            word = fresh_rotation(qs, fam, p) * fresh_rotation(qs, fam, q)
+            terms.append((canonical_conjugacy(word), cx * cy * c))
+    return LoopCombination.collect(terms)
+
+
+def fresh_brace(qs, gate, args):
+    """Reference: a fresh ``combine_generic`` family for every choice of terms."""
+    terms = []
+    for picks in itertools.product(*(a.terms.items() for a in args)):
+        fam = combine_generic(qs, [k for k, _ in picks])
+        coeff = 1
+        for _, c in picks:
+            coeff *= c
+        per_loop = [fam.crossings_of(gate, i) for i in range(len(picks))]
+        for combo in itertools.product(*per_loop):
+            sign, word = coeff, Word()
+            for ref in combo:
+                sign *= ref.sign
+                word = word * fresh_rotation(qs, fam, ref)
+            terms.append((canonical_conjugacy(word), sign))
+    return LoopCombination.collect(terms)
+
+
+def test_realizing_once_per_call_matches_fresh_families():
+    # combinations whose terms repeat across arguments, so that one
+    # realized loop serves several families, and twice in one family
+    rng = random.Random(41)
+    for _ in range(30):
+        qs = random_surface(rng)
+        a, b, c = (random_class(rng, qs.rank, max_len=6) for _ in range(3))
+        x = 2 * LoopCombination.from_class(a) - LoopCombination.from_class(b)
+        y = LoopCombination.from_class(b) + 3 * LoopCombination.from_class(c)
+        omega = random_omega(rng, qs)
+        for left, right in ((x, y), (y, x), (x, x)):
+            assert bullet(qs, omega, left, right) == fresh_bullet(qs, omega, left, right)
+        for gate in qs.gates:
+            for args in ([x], [x, y], [y, x, y]):
+                assert gate_brace_geometric(qs, gate, args) == fresh_brace(qs, gate, args)

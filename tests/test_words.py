@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,8 @@ from quasiloop.words import (
     canonical_conjugacy,
     commutator,
     format_word,
+    letter_key,
+    minimal_rotation,
     parse_word,
 )
 
@@ -100,6 +104,16 @@ def test_format_parse_round_trip():
     assert parse_word("1") == Word()
 
 
+@pytest.mark.parametrize(
+    "letter",
+    [(0, 2), (0, 0), (-1, 1), (1.5, 1), (0, True), (0, 1.0)],
+    ids=["sign_2", "sign_0", "negative_index", "float_index", "bool_sign", "float_sign"],
+)
+def test_word_rejects_bad_letters(letter):
+    with pytest.raises(ValueError):
+        Word([(0, 1), letter])
+
+
 def test_parse_rejects_bad_tokens():
     with pytest.raises(ValueError):
         parse_word("h1")
@@ -110,3 +124,72 @@ def test_parse_rejects_bad_tokens():
 def test_class_equality_is_conjugacy_not_inversion():
     w = W((0, 1), (1, -1))
     assert canonical_conjugacy(w) != canonical_conjugacy(~w)
+
+
+# --- the word kernels against plain references ---------------------------
+
+
+def plain_reduce(letters):
+    """Reference: check every letter and reduce the whole sequence."""
+    out = []
+    for g, s in letters:
+        assert s in (1, -1) and g >= 0
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple(out)
+
+
+def plain_minimal_rotation(letters):
+    """Reference: the least of all rotations, each compared as a key tuple."""
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))] or [letters]
+    return min(rotations, key=lambda r: tuple(letter_key(l) for l in r))
+
+
+@given(words_st, words_st)
+def test_seam_product_equals_full_reduction(u, w):
+    assert (u * w).letters == plain_reduce(u.letters + w.letters)
+    assert (~u).letters == plain_reduce((g, -s) for g, s in reversed(u.letters))
+
+
+def test_seam_product_cancels_across_the_whole_seam():
+    rng = random.Random(21)
+    def word():
+        return Word((rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randrange(16)))
+
+    for _ in range(300):
+        u, v, w = word(), word(), word()
+        # the seam of (v u^-1) * (u w) cancels all of u and may go on
+        left, right = v * ~u, u * w
+        assert (left * right).letters == plain_reduce(left.letters + right.letters)
+        assert (u * ~u).letters == ()
+
+
+def repeated_least_words():
+    g1, g2, g3 = (0, 1), (1, 1), (2, 1)
+    inv = lambda l: (l[0], -l[1])
+    yield (g1, g2, g1, inv(g2))
+    for n in range(1, 9):
+        yield (g1, g2) * n
+        yield (g1, g1, g2) * n
+        yield (g1, g2, g1, inv(g2)) * (n % 4 + 1) + (g3,)
+    rng = random.Random(22)
+    for _ in range(400):
+        n = rng.randint(1, 32)
+        yield tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(n))
+
+
+def test_minimal_rotation_equals_brute_force():
+    for letters in repeated_least_words():
+        assert minimal_rotation(letters) == plain_minimal_rotation(letters)
+
+
+def test_minimal_rotation_of_edge_paths(qd2, qg1):
+    # edge paths share the letter shape and the rotation helper
+    rng = random.Random(23)
+    for qs in (qd2, qg1):
+        for _ in range(100):
+            w = Word((rng.randrange(qs.rank), rng.choice((1, -1))) for _ in range(rng.randint(1, 10)))
+            path = qs.edge_path_of_word(w * w)
+            assert minimal_rotation(path) == plain_minimal_rotation(path)
