@@ -100,9 +100,9 @@ class ExplicitDiagram:
     def __post_init__(self):
         for c in self.crossings:
             for loop_idx, arc_idx in (c.first, c.second):
-                if loop_idx >= len(self.loops):
+                if not 0 <= loop_idx < len(self.loops):
                     raise ValueError(f"crossing references unknown loop {loop_idx}")
-                if arc_idx >= len(self.loops[loop_idx].arcs):
+                if not 0 <= arc_idx < len(self.loops[loop_idx].arcs):
                     raise ValueError(f"crossing references unknown arc {arc_idx} of loop {loop_idx}")
             disk_a = self.loops[c.first[0]].arcs[c.first[1]].disk
             disk_b = self.loops[c.second[0]].arcs[c.second[1]].disk
@@ -138,7 +138,7 @@ def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
         raise ValueError("need exactly one connecting path per arc")
     seen_depths: set[tuple[int, int, int]] = set()
     for arc in d.arcs:
-        if arc.disk >= len(qs.spec.disks):
+        if not 0 <= arc.disk < len(qs.spec.disks):
             raise ValueError(f"unknown disk {arc.disk}")
         m = len(qs.disk_gates(arc.disk))
         if not 0 <= arc.lane < m:
@@ -200,9 +200,17 @@ class _RLoop:
             word = self.rotations[k] = _word(_reduce(self.letters[k:] + self.letters[:k]))
         return word
 
-
-def _rloop(qs: QuasiSurface, steps: EdgePath, arcs: list[_RArc], cyclic: bool) -> _RLoop:
-    return _RLoop(steps, arcs, cyclic, *qs.collapse(steps))
+    def diagram(self, depths: "Sequence[int] | None" = None) -> LaneDiagram:
+        """The loop as a lane diagram, at its own depths or the given ones."""
+        if not self.arcs:
+            return LaneDiagram((), (self.edge_path,) if self.edge_path else ())
+        if depths is None:
+            depths = [a.depth for a in self.arcs]
+        ends = [a.entry_pos for a in self.arcs[1:]] + [len(self.edge_path)]
+        return LaneDiagram(
+            tuple(DiskArc(a.disk, a.lane, d, a.reverse) for a, d in zip(self.arcs, depths)),
+            tuple(self.edge_path[a.exit_pos + 1:end] for a, end in zip(self.arcs, ends)),
+        )
 
 
 def _lane_route(m: int, a: int, b: int) -> list[tuple[int, bool]]:
@@ -216,29 +224,6 @@ def _lane_route(m: int, a: int, b: int) -> list[tuple[int, bool]]:
     return [((a - 1 - j) % m, True) for j in range(m - ccw)]
 
 
-def _passage_hops(qs: QuasiSurface, gate_in: int, gate_out: int) -> tuple[int, list[tuple[int, bool]]]:
-    disk_a, pos_a = qs.gate_position[qs.gates[gate_in]]
-    disk_b, pos_b = qs.gate_position[qs.gates[gate_out]]
-    if disk_a != disk_b:
-        raise ValueError("disk passage must enter and exit one disk")
-    return disk_a, _lane_route(len(qs.disk_gates(disk_a)), pos_a, pos_b)
-
-
-def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
-    if not d.arcs:
-        return _rloop(qs, d.paths[0] if d.paths else (), [], cyclic=True)
-    steps: list[EdgeStep] = []
-    arcs: list[_RArc] = []
-    for arc, ypath in zip(d.arcs, d.paths):
-        enter, leave = arc_gates(qs, arc)
-        entry_pos = len(steps)
-        steps.append((qs.gate_edge[enter], 1))
-        steps.append((qs.gate_edge[leave], -1))
-        steps.extend(ypath)
-        arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, entry_pos, entry_pos + 1))
-    return _rloop(qs, tuple(steps), arcs, cyclic=True)
-
-
 def _append_passage(
     qs: QuasiSurface,
     steps: list[EdgeStep],
@@ -247,10 +232,13 @@ def _append_passage(
     gate_in: int,
     gate_out: int,
 ) -> None:
-    disk, hops = _passage_hops(qs, gate_in, gate_out)
+    disk, pos_a = qs.gate_position[qs.gates[gate_in]]
+    disk_b, pos_b = qs.gate_position[qs.gates[gate_out]]
+    if disk != disk_b:
+        raise ValueError("disk passage must enter and exit one disk")
     gates = qs.disk_gates(disk)
     m = len(gates)
-    for lane, reverse in hops:
+    for lane, reverse in _lane_route(m, pos_a, pos_b):
         enter = gates[(lane + 1) % m] if reverse else gates[lane]
         leave = gates[lane] if reverse else gates[(lane + 1) % m]
         key = (disk, lane)
@@ -261,88 +249,88 @@ def _append_passage(
         arcs.append(_RArc(disk, lane, depth_counter[key], reverse, entry_pos, entry_pos + 1))
 
 
-def realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
-    """A based loop realized for :class:`GenericFamily`."""
-    path = qs.edge_path_of_word(w)
+def _walk(qs: QuasiSurface, path: EdgePath, cyclic: bool) -> _RLoop:
+    """Realize a reduced edge path (cyclically reduced and closed when
+    ``cyclic``; it is then read from its first gate entry): graph steps are
+    kept verbatim, and each disk passage is decomposed into lane hops with
+    trivial gate detours, at fresh maximal depths per lane in construction
+    order.  The rotation of a cyclic path influences the representative
+    built, never the class it represents."""
+    edges = qs.edges
+    if cyclic:
+        start = next((i for i, (e, d) in enumerate(path) if d > 0 and edges[e].gate is not None), 0)
+        path = path[start:] + path[:start]
     steps: list[EdgeStep] = []
     arcs: list[_RArc] = []
     depth_counter: dict[tuple[int, int], int] = {}
     i = 0
     while i < len(path):
         e, d = path[i]
-        if qs.edges[e].gate is None:
+        gate_in = edges[e].gate
+        if gate_in is None:
             steps.append(path[i])
             i += 1
             continue
-        assert d > 0, "a reduced based path enters a disk before leaving it"
         e2, d2 = path[i + 1]
-        gate_out = qs.edges[e2].gate
-        assert gate_out is not None and d2 < 0
-        _append_passage(qs, steps, arcs, depth_counter, qs.edges[e].gate, gate_out)
+        gate_out = edges[e2].gate
+        assert d > 0 and gate_out is not None and d2 < 0, "a reduced path enters a disk before leaving it"
+        _append_passage(qs, steps, arcs, depth_counter, gate_in, gate_out)
         i += 2
-    return _rloop(qs, tuple(steps), arcs, cyclic=False)
+    return _RLoop(tuple(steps), arcs, cyclic, *qs.collapse(steps))
+
+
+def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
+    """A validated lane diagram realized verbatim, depths included."""
+    steps: list[EdgeStep] = []
+    arcs: list[_RArc] = []
+    for arc, ypath in zip(d.arcs, d.paths):
+        enter, leave = arc_gates(qs, arc)
+        entry_pos = len(steps)
+        steps.append((qs.gate_edge[enter], 1))
+        steps.append((qs.gate_edge[leave], -1))
+        steps.extend(ypath)
+        arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, entry_pos, entry_pos + 1))
+    if not d.arcs and d.paths:
+        steps.extend(d.paths[0])
+    return _RLoop(tuple(steps), arcs, True, *qs.collapse(steps))
+
+
+def realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
+    """A based loop realized for :class:`GenericFamily`."""
+    return _walk(qs, qs.edge_path_of_word(w), cyclic=False)
+
+
+def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoop:
+    """One circular loop realized for :class:`GenericFamily`: a class from
+    its canonical cyclic edge path, a lane diagram given from outside
+    verbatim once validated.  Realize each loop of an operation once and
+    pass it to every family that uses it."""
+    if isinstance(x, LaneDiagram):
+        validate_diagram(qs, x)
+        return _realize_cyclic(qs, x)
+    if isinstance(x, Word):
+        x = canonical_conjugacy(x)
+    if isinstance(x, ConjClass):
+        return _walk(qs, qs.cyclic_edge_path(x), cyclic=True)
+    raise TypeError(f"cannot interpret {type(x).__name__} as a loop diagram")
 
 
 def word_to_diagram(qs: QuasiSurface, c: ConjClass) -> LaneDiagram:
-    """Lane normal form of a conjugacy class.
-
-    The class's canonical cyclic edge path is rewritten as an alternation
-    of disk passages and singular paths; each passage is decomposed into
-    lane hops with trivial gate detours, and fresh maximal depths are
-    assigned per lane in construction order.  ``diagram_to_word`` inverts
-    this exactly.
-    """
-    return diagram_from_cyclic_path(qs, qs.cyclic_edge_path(c))
+    """Lane normal form of a conjugacy class: its canonical cyclic edge path
+    realized as in :func:`realize_loop`.  ``diagram_to_word`` inverts this
+    exactly."""
+    return _walk(qs, qs.cyclic_edge_path(c), cyclic=True).diagram()
 
 
 def diagram_from_cyclic_path(qs: QuasiSurface, path: EdgePath) -> LaneDiagram:
-    """Lane normal form of a cyclically reduced closed edge path; the
-    rotation of the path influences the representative built, never the
-    class it represents."""
-    if not path:
-        return LaneDiagram((), ())
-    if all(qs.edges[e].gate is None for e, _ in path):
-        return LaneDiagram((), (path,))
-    start = next(i for i, (e, d) in enumerate(path) if qs.edges[e].gate is not None and d > 0)
-    path = path[start:] + path[:start]
-
-    steps: list[EdgeStep] = []
-    arcs: list[_RArc] = []
-    depth_counter: dict[tuple[int, int], int] = {}
-    segments: list[tuple[int, EdgePath]] = []  # (arc count so far, trailing Y path)
-    i = 0
-    n = len(path)
-    while i < n:
-        e, d = path[i]
-        gate_in = qs.edges[e].gate
-        assert gate_in is not None and d > 0
-        e2, d2 = path[i + 1]
-        gate_out = qs.edges[e2].gate
-        assert gate_out is not None and d2 < 0
-        _append_passage(qs, steps, arcs, depth_counter, gate_in, gate_out)
-        j = i + 2
-        ypath: list[EdgeStep] = []
-        while j < n and qs.edges[path[j][0]].gate is None:
-            ypath.append(path[j])
-            j += 1
-        segments.append((len(arcs), tuple(ypath)))
-        i = j
-
-    out_arcs = tuple(DiskArc(a.disk, a.lane, a.depth, a.reverse) for a in arcs)
-    out_paths: list[EdgePath] = []
-    done = 0
-    for count, ypath in segments:
-        out_paths.extend(() for _ in range(count - done - 1))
-        out_paths.append(ypath)
-        done = count
-    return LaneDiagram(out_arcs, tuple(out_paths))
+    """Lane normal form of a cyclically reduced closed edge path."""
+    return _walk(qs, path, cyclic=True).diagram()
 
 
 def diagram_to_word(qs: QuasiSurface, d: LaneDiagram) -> ConjClass:
     """The conjugacy class a lane diagram represents: gate edges from the
     arcs, singular paths verbatim, spanning tree collapsed."""
-    validate_diagram(qs, d)
-    return canonical_conjugacy(_realize_cyclic(qs, d).rotation(0))
+    return canonical_conjugacy(realize_loop(qs, d).rotation(0))
 
 
 def diagram_to_json(qs: QuasiSurface, d: LaneDiagram) -> dict:
@@ -380,29 +368,18 @@ def diagram_from_json(qs: QuasiSurface, data: dict) -> LaneDiagram:
     return diagram
 
 
-def dual_v(qs: QuasiSurface, gate: str, d: "LaneDiagram | ConjClass") -> int:
+def dual_v(qs: QuasiSurface, gate: str, d: "LaneDiagram | ConjClass | Word") -> int:
     """Signed count of the loop's crossings with a gate."""
     if gate not in qs.gate_edge:
         raise ValueError(f"unknown gate {gate!r}")
-    d = as_diagram(qs, d)
     total = 0
-    for arc in d.arcs:
+    for arc in realize_loop(qs, d).arcs:
         enter, leave = arc_gates(qs, arc)
         if enter == gate:
             total += 1
         if leave == gate:
             total -= 1
     return total
-
-
-def as_diagram(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> LaneDiagram:
-    if isinstance(x, LaneDiagram):
-        return x
-    if isinstance(x, Word):
-        x = canonical_conjugacy(x)
-    if isinstance(x, ConjClass):
-        return word_to_diagram(qs, x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a loop diagram")
 
 
 # --- generic families --------------------------------------------------
@@ -507,19 +484,7 @@ class GenericFamily:
                         yield p, q, direction * p.sign * q.sign
 
     def diagrams(self) -> tuple[LaneDiagram, ...]:
-        out = []
-        for rl, depths in zip(self.loops, self.depths):
-            if not rl.arcs:
-                out.append(LaneDiagram((), (rl.edge_path,) if rl.edge_path else ()))
-                continue
-            arcs = tuple(DiskArc(a.disk, a.lane, d, a.reverse) for a, d in zip(rl.arcs, depths))
-            paths = []
-            for i, arc in enumerate(rl.arcs):
-                lo = arc.exit_pos + 1
-                hi = rl.arcs[i + 1].entry_pos if i + 1 < len(rl.arcs) else len(rl.edge_path)
-                paths.append(tuple(rl.edge_path[lo:hi]))
-            out.append(LaneDiagram(arcs, tuple(paths)))
-        return tuple(out)
+        return tuple(rl.diagram(depths) for rl, depths in zip(self.loops, self.depths))
 
     def rotation_word(self, ref: CrossingRef) -> Word:
         """The loop reparametrized to start on the gate: at its entry
@@ -556,16 +521,6 @@ def combine_generic(
     return GenericFamily(qs, [realize_loop(qs, x) for x in inputs])
 
 
-def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoop:
-    """One circular loop realized for :class:`GenericFamily`; a lane diagram
-    given from outside is validated first.  Realize each loop of an
-    operation once and pass it to every family that uses it."""
-    if isinstance(x, LaneDiagram):
-        validate_diagram(qs, x)
-        return _realize_cyclic(qs, x)
-    return _realize_cyclic(qs, as_diagram(qs, x))
-
-
 def explicit_pair(
     qs: QuasiSurface, family: ExplicitDiagram, other=None
 ) -> tuple[GenericFamily, list[tuple[int, int, int]]]:
@@ -576,9 +531,7 @@ def explicit_pair(
         raise ValueError("pass either two loops or one explicit two-loop family")
     if len(family.loops) != 2:
         raise ValueError("the explicit family of a pair form must hold two loops")
-    for d in family.loops:
-        validate_diagram(qs, d)
-    fam = GenericFamily(qs, [_realize_cyclic(qs, d) for d in family.loops], normalize=False)
+    fam = GenericFamily(qs, [realize_loop(qs, d) for d in family.loops], normalize=False)
     declared = []
     for crossing in family.crossings:
         s = crossing.oriented(0, 1)

@@ -13,11 +13,13 @@ from typing import Sequence
 
 from .diagrams import (
     ExplicitDiagram,
+    GenericFamily,
     LaneDiagram,
-    as_diagram,
     combine_generic,
+    diagram_to_word,
     explicit_pair,
     parse_omega,
+    realize_loop,
 )
 from .surface import QuasiSurface
 from .words import ConjClass, Word, abelianize
@@ -27,8 +29,6 @@ H1Class = tuple[int, ...]
 
 def h1_class(qs: QuasiSurface, x: "Word | ConjClass | LaneDiagram") -> H1Class:
     if isinstance(x, LaneDiagram):
-        from .diagrams import diagram_to_word
-
         x = diagram_to_word(qs, x)
     if isinstance(x, ConjClass):
         x = x.representative()
@@ -61,22 +61,17 @@ def first_form(
     else:
         if b is None:
             raise ValueError("first_form needs two loops")
-        fam = combine_generic(qs, [as_diagram(qs, a), as_diagram(qs, b)])
+        fam = combine_generic(qs, [a, b])
     return sum(s for _, _, s in declared) + sum(c for _, _, c in fam.crossing_pairs(signs))
 
 
 def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:
     """Gram matrix of the orientation-independent pairing on the generator basis."""
-    from .diagrams import word_to_diagram
-    from .words import canonical_conjugacy
-
-    diagrams_ = [
-        word_to_diagram(qs, canonical_conjugacy(Word.generator(i)))
-        for i in range(qs.rank)
-    ]
+    signs = parse_omega(qs, omega)
+    loops = [realize_loop(qs, Word.generator(i)) for i in range(qs.rank)]
     raw = [
-        [first_form(qs, omega, diagrams_[i], diagrams_[j]) for j in range(qs.rank)]
-        for i in range(qs.rank)
+        [sum(c for _, _, c in GenericFamily(qs, [x, y]).crossing_pairs(signs)) for y in loops]
+        for x in loops
     ]
     return [
         [raw[i][j] - raw[j][i] for j in range(qs.rank)]

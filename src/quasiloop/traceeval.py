@@ -106,8 +106,18 @@ class RepresentationPoint:
 
     @classmethod
     def create(cls, n: int, images: Sequence[Sequence[Sequence]]) -> "RepresentationPoint":
+        """Entries are integers, ``Fraction``s or strings such as ``"1/2"``.
+        A ``float`` entry (which would be read as its binary value), a
+        ``bool`` entry and an ``n`` that is not an ``int`` are rejected."""
+        if type(n) is not int:
+            raise ValueError(f"malformed representation: n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"malformed representation: n must be >= 1, got {n}")
+        for g, rows in enumerate(images):
+            if any(isinstance(x, (bool, float)) for row in rows for x in row):
+                raise ValueError(
+                    f"malformed representation: g{g + 1} has an entry that is not an integer or a string"
+                )
         mats = tuple(_as_matrix(m) for m in images)
         for m in mats:
             if len(m) != n or any(len(row) != n for row in m):
@@ -166,8 +176,6 @@ class RepresentationPoint:
     def from_json_dict(cls, data: dict) -> "RepresentationPoint":
         try:
             n = data["n"]
-            if type(n) is not int:
-                raise TypeError(f"n must be an integer, got {n!r}")
             raw: Mapping[str, list] = data["images"]
             images: list = [None] * len(raw)
             for token, rows in raw.items():
@@ -176,8 +184,6 @@ class RepresentationPoint:
                 idx = int(token[1:]) - 1
                 if not 0 <= idx < len(raw):
                     raise ValueError(f"generator token {token!r} out of range")
-                if any(isinstance(x, (bool, float)) for row in rows for x in row):
-                    raise TypeError(f"{token} has an entry that is not an integer or a string")
                 images[idx] = rows
             return cls.create(n, images)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:

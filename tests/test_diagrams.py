@@ -112,6 +112,16 @@ def test_dual_v_examples(qt2):
     assert dual_v(qt2, "g1", z2) == 2
     with pytest.raises(ValueError, match="unknown gate"):
         dual_v(qt2, "g5", z)
+    # a malformed diagram: an unknown disk (either side of the range) or an
+    # out-of-range lane
+    for arc, message in (
+        (DiskArc(5, 0, 1), "unknown disk 5"),
+        (DiskArc(-1, 0, 1), "unknown disk -1"),
+        (DiskArc(0, 2, 1), "lane 2 out of range"),
+        (DiskArc(0, -1, 1), "lane -1 out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            dual_v(qt2, "g1", LaneDiagram((arc,), ((),)))
 
 
 def test_combine_generic_block_order(qt2):
@@ -176,6 +186,17 @@ def test_explicit_diagram_validation(qt2):
     z = word_to_diagram(qt2, qt2.parse_loop("g1 g2^-1"))
     with pytest.raises(ValueError, match="unknown loop"):
         ExplicitDiagram((z,), (SurfaceCrossing((0, 0), (1, 0), 1),))
+    # a negative index would be read from the end and then dropped by
+    # ``oriented``, silently changing the forms
+    pair = combine_generic(qt2, [z, z]).diagrams()
+    for crossing, message in (
+        (SurfaceCrossing((0, 0), (-1, 0), 1), "unknown loop -1"),
+        (SurfaceCrossing((-2, 0), (1, 0), 1), "unknown loop -2"),
+        (SurfaceCrossing((0, -1), (1, 0), 1), "unknown arc -1 of loop 0"),
+        (SurfaceCrossing((0, 0), (1, -1), 1), "unknown arc -1 of loop 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExplicitDiagram(pair, (crossing,))
     with pytest.raises(ValueError, match="sign"):
         SurfaceCrossing((0, 0), (1, 0), 2)
     crossing = SurfaceCrossing((0, 0), (1, 0), 1)
@@ -267,3 +288,45 @@ def test_word_letters_keep_their_shape():
         fam = combine_generic(qs, [canonical_conjugacy(u), canonical_conjugacy(v)])
         words += [fam.rotation_word(ref) for g in qs.gates for ref in fam.gate_sequence(g)]
         assert all(is_letter_tuple(w) for w in words)
+
+
+def pure_graph_class(rng, qs, max_len):
+    """A random class in the generators whose loops avoid every gate."""
+    graph_gens = [
+        g for g, loop in enumerate(qs.generator_loops)
+        if all(qs.edges[e].gate is None for e, _ in loop)
+    ]
+    if not graph_gens:
+        return None
+    w = random_word(rng, len(graph_gens), max_len=max_len)
+    return canonical_conjugacy(Word([(graph_gens[g], s) for g, s in w.letters]))
+
+
+def test_direct_realization_equals_diagram_route():
+    # a class is realized by walking its cyclic edge path; the reference is
+    # the lane diagram route, through validate_diagram and _realize_cyclic
+    rng = random.Random(41)
+    graph_loops = 0
+    for _ in range(150):
+        qs = random_surface(rng, max_edges=4)
+        classes = [
+            random_class(rng, qs.rank, max_len=12, min_len=9),
+            random_class(rng, qs.rank, max_len=6),
+            canonical_conjugacy(Word()),
+        ]
+        graph = pure_graph_class(rng, qs, max_len=6)
+        if graph is not None and not graph.is_trivial():
+            classes.append(graph)
+            graph_loops += 1
+        for c in classes:
+            direct = realize_loop(qs, c)
+            reference = realize_loop(qs, word_to_diagram(qs, c))
+            assert direct.edge_path == reference.edge_path
+            assert direct.arcs == reference.arcs
+            assert direct.letters == reference.letters
+            assert direct.before == reference.before
+            assert direct.diagram() == word_to_diagram(qs, c)
+            assert canonical_conjugacy(direct.rotation(0)) == c
+        fam = combine_generic(qs, classes)
+        assert [diagram_to_word(qs, d) for d in fam.diagrams()] == classes
+    assert graph_loops >= 20

@@ -57,6 +57,25 @@ def test_singular_image_rejected():
             RepresentationPoint.create(len(image), [image])
 
 
+def test_create_rejects_inexact_input():
+    # the library route checks what the JSON route checks: a float would be
+    # read as its binary value, and a bool as 0 or 1
+    for n, images in (
+        (1, [[[0.1]]]),
+        (1, [[[True]]]),
+        (2, [[[1, 0], [0, 1]], [[1, 0.5], [0, 1]]]),
+        (True, [[[3]]]),
+        (1.0, [[[3]]]),
+        ("1", [[[3]]]),
+    ):
+        with pytest.raises(ValueError, match="^malformed representation: "):
+            RepresentationPoint.create(n, images)
+    with pytest.raises(ValueError, match="g2 has an entry"):
+        RepresentationPoint.create(1, [[[2]], [[False]]])
+    assert RepresentationPoint.create(1, [[["1/10"]]]).images == (((Fraction(1, 10),),),)
+    assert RepresentationPoint.create(1, [[[Fraction(1, 10)]]]).images == (((Fraction(1, 10),),),)
+
+
 def test_missing_generator_image(qt2):
     rho = RepresentationPoint.create(1, [[[2]]])
     with pytest.raises(ValueError, match="no matrix image"):
