@@ -11,10 +11,11 @@ leaves the free homotopy class unchanged.
 Crossing order along a gate is forced by the geometry: traversing a gate
 in the counterclockwise direction of its disk, one first meets the
 endpoints coming from the preceding lane in increasing depth, then the
-endpoints of the following lane in decreasing depth.  A gate orientation
-assigns each gate a sign against this reference direction (+1 =
-counterclockwise); it orders crossings and orients crossing signs for the
-intersection forms downstream.
+endpoints of the following lane in decreasing depth.  The order is a
+comparison, not a stored sequence: a family compares two endpoints by
+one key.  A gate orientation assigns each gate a sign against this
+reference direction (+1 = counterclockwise); it orders crossings and
+orients crossing signs for the intersection forms downstream.
 """
 
 from __future__ import annotations
@@ -181,16 +182,23 @@ class _RArc:
 
 @dataclass
 class _RLoop:
-    """A realized loop.  Its generator letters are collapsed once, and its
-    rotation words are cached on it, so a loop realized once per operation
-    serves every family of that operation."""
+    """A realized loop.  Its letters are collapsed and its gate endpoints
+    listed once, and its rotation words are cached on it, so a loop
+    realized once per operation serves every family of that operation."""
 
     edge_path: EdgePath  # detours included; positions below index into it
     arcs: list[_RArc]
     cyclic: bool
     letters: tuple[Letter, ...]  # the generator letters of edge_path, unreduced
     before: list[int]  # before[i]: the number of letters in edge_path[:i]
+    crossings: list[list[tuple[int, bool]]]  # crossings[k]: (arc, entry) at gate k
     rotations: dict[int, Word] = field(default_factory=dict)
+
+    def cut(self, arc: int, entry: bool) -> int:
+        """Where a gate crossing cuts the loop: at the arc's entry letter
+        for an entry, right after its exit letter for an exit."""
+        a = self.arcs[arc]
+        return a.entry_pos if entry else a.exit_pos + 1
 
     def rotation(self, cut: int) -> Word:
         """The loop's word read from edge position ``cut`` around to it."""
@@ -276,7 +284,7 @@ def _walk(qs: QuasiSurface, path: EdgePath, cyclic: bool) -> _RLoop:
         assert d > 0 and gate_out is not None and d2 < 0, "a reduced path enters a disk before leaving it"
         _append_passage(qs, steps, arcs, depth_counter, gate_in, gate_out)
         i += 2
-    return _RLoop(tuple(steps), arcs, cyclic, *qs.collapse(steps))
+    return _rloop(qs, steps, arcs, cyclic)
 
 
 def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
@@ -292,7 +300,17 @@ def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
         arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, entry_pos, entry_pos + 1))
     if not d.arcs and d.paths:
         steps.extend(d.paths[0])
-    return _RLoop(tuple(steps), arcs, True, *qs.collapse(steps))
+    return _rloop(qs, steps, arcs, True)
+
+
+def _rloop(qs: QuasiSurface, steps: list[EdgeStep], arcs: list[_RArc], cyclic: bool) -> _RLoop:
+    """The realized loop of a walk: its letters collapsed, and each arc's
+    entry and exit listed at their gates."""
+    crossings: list[list[tuple[int, bool]]] = [[] for _ in qs.gates]
+    for i, arc in enumerate(arcs):
+        crossings[qs.edges[steps[arc.entry_pos][0]].gate].append((i, True))
+        crossings[qs.edges[steps[arc.exit_pos][0]].gate].append((i, False))
+    return _RLoop(tuple(steps), arcs, cyclic, *qs.collapse(steps), crossings)
 
 
 def realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
@@ -347,12 +365,20 @@ def diagram_to_json(qs: QuasiSurface, d: LaneDiagram) -> dict:
 
 
 def diagram_from_json(qs: QuasiSurface, data: dict) -> LaneDiagram:
+    """A lane diagram read from JSON and validated.  Nothing is coerced:
+    ``disk``, ``lane``, ``depth`` and step signs must be integers (not
+    booleans), ``reverse`` a boolean and a step's edge token a string."""
     try:
-        arcs = tuple(
-            DiskArc(int(a["disk"]), int(a["lane"]), int(a["depth"]), bool(a.get("reverse", False)))
-            for a in data.get("arcs", ())
-        )
-        paths = [[(str(token), int(s)) for token, s in p] for p in data.get("paths", ())]
+        arcs = []
+        for a in data.get("arcs", ()):
+            fields = (a["disk"], a["lane"], a["depth"], a.get("reverse", False))
+            if any(type(v) is not int for v in fields[:3]) or type(fields[3]) is not bool:
+                raise TypeError(f"an arc needs integer disk, lane and depth and a boolean reverse, got {a!r}")
+            arcs.append(DiskArc(*fields))
+        paths = [[(token, s) for token, s in p] for p in data.get("paths", ())]
+        for token, s in (step for p in paths for step in p):
+            if type(token) is not str or type(s) is not int:
+                raise TypeError(f"a path step needs a string token and an integer sign, got {[token, s]!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed diagram: {exc}") from exc
     steps = []
@@ -363,23 +389,15 @@ def diagram_from_json(qs: QuasiSurface, data: dict) -> LaneDiagram:
                 raise ValueError(f"unknown generator token {token!r}")
             path.append((qs.token_to_edge[token], s))
         steps.append(tuple(path))
-    diagram = LaneDiagram(arcs, tuple(steps))
+    diagram = LaneDiagram(tuple(arcs), tuple(steps))
     validate_diagram(qs, diagram)
     return diagram
 
 
 def dual_v(qs: QuasiSurface, gate: str, d: "LaneDiagram | ConjClass | Word") -> int:
     """Signed count of the loop's crossings with a gate."""
-    if gate not in qs.gate_edge:
-        raise ValueError(f"unknown gate {gate!r}")
-    total = 0
-    for arc in realize_loop(qs, d).arcs:
-        enter, leave = arc_gates(qs, arc)
-        if enter == gate:
-            total += 1
-        if leave == gate:
-            total -= 1
-    return total
+    k = qs.gate_index(gate)
+    return sum(1 if entry else -1 for _, entry in realize_loop(qs, d).crossings[k])
 
 
 # --- generic families --------------------------------------------------
@@ -387,46 +405,31 @@ def dual_v(qs: QuasiSurface, gate: str, d: "LaneDiagram | ConjClass | Word") -> 
 
 @dataclass(frozen=True)
 class CrossingRef:
-    """One gate crossing of one loop in a combined family."""
+    """One gate crossing of one loop in a family: an arc's entry or exit."""
 
     loop: int
     arc: int
     entry: bool
     sign: int
-    gate: str
 
 
 class GenericFamily:
-    """Loops put in generic position: per lane, all depths pairwise
-    distinct, earlier arguments below later ones; per gate, the crossing
-    sequence in the counterclockwise reference direction.
+    """Loops put in generic position: per lane, arcs are nested by
+    (argument index, own depth), earlier arguments below later ones.  The
+    gate order is a comparison, not a stored sequence: every order the
+    family reports compares the places :meth:`_place` gives.  Nothing is
+    built per family, and one realized loop can serve many families.
 
     With ``normalize=False`` the given depths are taken verbatim (they
     must already be pairwise distinct per lane); this is how explicitly
-    pre-combined families enter the forms.
-
-    The family keeps its depths in ``depths[loop][arc]`` and never writes
-    to its loops, so one realized loop can serve many families."""
+    pre-combined families enter the forms."""
 
     def __init__(self, qs: QuasiSurface, loops: Sequence[_RLoop], normalize: bool = True):
         self.qs = qs
         self.loops = list(loops)
-        self.depths = [[arc.depth for arc in rl.arcs] for rl in self.loops]
-        if normalize:
-            self._assign_depths()
-        else:
+        self.normalize = normalize
+        if not normalize:
             self._check_depths()
-        self._order_gates()
-
-    def _assign_depths(self) -> None:
-        lanes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for loop_idx, rl in enumerate(self.loops):
-            for arc_idx, arc in enumerate(rl.arcs):
-                lanes.setdefault((arc.disk, arc.lane), []).append((loop_idx, arc.depth, arc_idx))
-        for members in lanes.values():
-            members.sort()
-            for new_depth, (loop_idx, _, arc_idx) in enumerate(members, start=1):
-                self.depths[loop_idx][arc_idx] = new_depth
 
     def _check_depths(self) -> None:
         seen: set[tuple[int, int, int]] = set()
@@ -440,51 +443,55 @@ class GenericFamily:
                     )
                 seen.add(key)
 
-    def _order_gates(self) -> None:
-        qs = self.qs
-        self._gate_seq: dict[str, tuple[CrossingRef, ...]] = {}
-        by_lane: dict[tuple[int, int], list[tuple[int, int, int, _RArc]]] = {}
-        for loop_idx, rl in enumerate(self.loops):
-            for arc_idx, arc in enumerate(rl.arcs):
-                depth = self.depths[loop_idx][arc_idx]
-                by_lane.setdefault((arc.disk, arc.lane), []).append((depth, loop_idx, arc_idx, arc))
-        for gate in qs.gates:
-            disk, pos = qs.gate_position[gate]
-            m = len(qs.disk_gates(disk))
-            prev_members = sorted(by_lane.get((disk, (pos - 1) % m), ()), key=lambda t: t[0])
-            next_members = sorted(by_lane.get((disk, pos), ()), key=lambda t: -t[0])
-            seq: list[CrossingRef] = []
-            for _, loop_idx, arc_idx, arc in prev_members:
-                entry = arc.reverse  # the far endpoint of the lane is the entry of a reverse arc
-                seq.append(CrossingRef(loop_idx, arc_idx, entry, 1 if entry else -1, gate))
-            for _, loop_idx, arc_idx, arc in next_members:
-                entry = not arc.reverse
-                seq.append(CrossingRef(loop_idx, arc_idx, entry, 1 if entry else -1, gate))
-            self._gate_seq[gate] = tuple(seq)
+    def _place(self, loop: int, arc: _RArc, entry: bool) -> tuple[int, int, int]:
+        """A crossing's place along its gate, counterclockwise: the lane
+        ending there by increasing depth, then the lane starting there
+        (``entry != reverse``) by decreasing depth.  The depth compared is
+        (argument index, own depth), or the own depth with ``normalize=False``."""
+        rank = loop if self.normalize else 0
+        if entry != arc.reverse:
+            return (1, -rank, -arc.depth)
+        return (0, rank, arc.depth)
+
+    def _at_gate(self, loop: int, k: int) -> list[tuple[tuple[int, int, int], CrossingRef]]:
+        """The crossings of one loop with gate ``k``, each with its place."""
+        rl = self.loops[loop]
+        return [
+            (self._place(loop, rl.arcs[a], entry), CrossingRef(loop, a, entry, 1 if entry else -1))
+            for a, entry in rl.crossings[k]
+        ]
 
     def gate_sequence(self, gate: str) -> tuple[CrossingRef, ...]:
-        return self._gate_seq[gate]
-
-    def crossings_of(self, gate: str, loop: int) -> list[CrossingRef]:
-        return [c for c in self._gate_seq[gate] if c.loop == loop]
+        k = self.qs.gate_index(gate)
+        placed = [c for loop in range(len(self.loops)) for c in self._at_gate(loop, k)]
+        return tuple(ref for _, ref in sorted(placed, key=lambda c: c[0]))
 
     def crossing_pairs(self, omega: Sequence[int]) -> Iterator[tuple[CrossingRef, CrossingRef, int]]:
         """The ordered crossing pairs of loops 0 and 1 that every pair form
         is built from: at each gate, each crossing ``p`` of loop 0 with each
-        crossing ``q`` of loop 1 that comes before ``p`` in the gate sequence
+        crossing ``q`` of loop 1 that comes before ``p`` along the gate
         ordered by ``omega``, and the coefficient ``omega[k] * p.sign * q.sign``."""
-        for k, gate in enumerate(self.qs.gates):
-            seq = self._gate_seq[gate]
-            direction = omega[k]
-            for i, p in enumerate(seq):
-                if p.loop != 0:
-                    continue
-                for q in seq[:i] if direction > 0 else seq[i + 1:]:
-                    if q.loop == 1:
+        for k in range(len(self.qs.gates)):
+            direction, mine = omega[k], self._at_gate(0, k)
+            theirs = self._at_gate(1, k) if mine else ()
+            for here, p in mine:
+                for there, q in theirs:
+                    if (there < here) == (direction > 0):
                         yield p, q, direction * p.sign * q.sign
 
     def diagrams(self) -> tuple[LaneDiagram, ...]:
-        return tuple(rl.diagram(depths) for rl, depths in zip(self.loops, self.depths))
+        """The family as lane diagrams, each lane's depths numbered 1, 2, ...
+        in the order its arcs reach the lane's end gate."""
+        lanes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for loop, rl in enumerate(self.loops):
+            for arc in rl.arcs:
+                lanes.setdefault((arc.disk, arc.lane), []).append(self._place(loop, arc, arc.reverse))
+        for places in lanes.values():
+            places.sort()
+        return tuple(
+            rl.diagram([lanes[a.disk, a.lane].index(self._place(loop, a, a.reverse)) + 1 for a in rl.arcs])
+            for loop, rl in enumerate(self.loops)
+        )
 
     def rotation_word(self, ref: CrossingRef) -> Word:
         """The loop reparametrized to start on the gate: at its entry
@@ -492,8 +499,7 @@ class GenericFamily:
         rl = self.loops[ref.loop]
         if not rl.cyclic:
             raise ValueError("rotation words are only defined for circular loops")
-        arc = rl.arcs[ref.arc]
-        return rl.rotation(arc.entry_pos if ref.entry else arc.exit_pos + 1)
+        return rl.rotation(rl.cut(ref.arc, ref.entry))
 
     def exit_rotation_word(self, loop: int, arc_idx: int) -> Word:
         """The loop reparametrized to start at an arc's exit letter; the
@@ -507,8 +513,7 @@ class GenericFamily:
         rl = self.loops[ref.loop]
         if rl.cyclic:
             raise ValueError("splice words are only defined for based loops")
-        arc = rl.arcs[ref.arc]
-        k = rl.before[arc.entry_pos if ref.entry else arc.exit_pos + 1]
+        k = rl.before[rl.cut(ref.arc, ref.entry)]
         return _word(_reduce(rl.letters[:k])), _word(_reduce(rl.letters[k:]))
 
 
@@ -516,8 +521,7 @@ def combine_generic(
     qs: QuasiSurface, inputs: Sequence["LaneDiagram | ConjClass | Word"]
 ) -> GenericFamily:
     """Put loops in generic position: per lane, earlier arguments take
-    the smaller depths as one block, keeping each loop's internal nesting;
-    per-gate crossing orders are recomputed."""
+    the smaller depths as one block, keeping each loop's internal nesting."""
     return GenericFamily(qs, [realize_loop(qs, x) for x in inputs])
 
 

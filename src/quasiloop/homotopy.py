@@ -19,64 +19,51 @@ from .diagrams import (
     ExplicitDiagram,
     GenericFamily,
     LaneDiagram,
+    _RLoop,
     explicit_pair,
     parse_omega,
     realize_based,
     realize_loop,
 )
-from .ring import GroupRingElement, LoopCombination
+from .ring import GroupRingElement, LoopCombination, project_to_classes
 from .surface import QuasiSurface
-from .words import ConjClass, Word, _word, canonical_conjugacy
+from .words import ConjClass, Word, canonical_conjugacy
 
 
-def _loop_terms(x):
-    """An argument's ``(loop, coeff)`` pairs: the terms of a loop
-    combination, or a single class or lane diagram with coefficient 1."""
+def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
+    """An argument's ``(loop, coeff)`` pairs, each loop realized once: the
+    terms of a loop combination, or a single class or lane diagram with
+    coefficient 1."""
     if isinstance(x, LoopCombination):
-        return x.terms.items()
+        return [(realize_loop(qs, k), c) for k, c in x.terms.items()]
     if isinstance(x, Word):
         x = canonical_conjugacy(x)
     if isinstance(x, (ConjClass, LaneDiagram)):
-        return ((x, 1),)
+        return [(realize_loop(qs, x), 1)]
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop combination")
-
-
-def _families(qs: QuasiSurface, args: Sequence) -> Iterator[tuple[GenericFamily, int]]:
-    """The multilinear extension over loop arguments: the generic family
-    of each choice of one term per argument, with the product of the
-    chosen coefficients.  Each term is realized once, for all families."""
-    terms = [[(realize_loop(qs, k), c) for k, c in _loop_terms(a)] for a in args]
-    for picks in itertools.product(*terms):
-        coeff = 1
-        for _, c in picks:
-            coeff *= c
-        yield GenericFamily(qs, [rl for rl, _ in picks]), coeff
 
 
 def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCombination:
     """The m-linear gate bracket: over every choice of one gate crossing
     per loop, the product of crossing signs times the class of the
-    product of the rotated loop words."""
-    if gate not in qs.gate_edge:
-        raise ValueError(f"unknown gate {gate!r}")
+    product of the rotated loop words.  The sum factors into one group-ring
+    element per argument, its signed rotations at the gate; the bracket
+    is the class projection of their product."""
+    k = qs.gate_index(gate)
     if not loops:
         raise ValueError("gate brace needs at least one loop")
-    return LoopCombination.collect(
-        (key, coeff * sign)
-        for fam, coeff in _families(qs, loops)
-        for key, sign in _gate_brace_terms(gate, fam)
-    )
-
-
-def _gate_brace_terms(gate: str, fam: GenericFamily) -> Iterator[tuple[ConjClass, int]]:
-    per_loop = [fam.crossings_of(gate, i) for i in range(len(fam.loops))]
-    for combo in itertools.product(*per_loop):
-        sign = 1
-        word = _word(())
-        for ref in combo:
-            sign *= ref.sign
-            word = word * fam.rotation_word(ref)
-        yield canonical_conjugacy(word), sign
+    factors = [
+        GroupRingElement.collect(
+            (rl.rotation(rl.cut(arc, entry)), c if entry else -c)
+            for rl, c in _loop_terms(qs, x)
+            for arc, entry in rl.crossings[k]
+        )
+        for x in loops
+    ]
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product * factor
+    return project_to_classes(product)
 
 
 def _bullet_terms(
@@ -108,9 +95,9 @@ def bullet(
     if y is None:
         raise ValueError("bullet needs two loops")
     return LoopCombination.collect(
-        (key, coeff * c)
-        for fam, coeff in _families(qs, (x, y))
-        for key, c in _bullet_terms(fam, signs)
+        (key, cx * cy * c)
+        for (rx, cx), (ry, cy) in itertools.product(_loop_terms(qs, x), _loop_terms(qs, y))
+        for key, c in _bullet_terms(GenericFamily(qs, [rx, ry]), signs)
     )
 
 
@@ -135,8 +122,8 @@ def kk_pairing(
     based = realize_based(qs, y)
 
     def terms() -> Iterator[tuple[Word, int]]:
-        for kx, cx in _loop_terms(x):
-            fam = GenericFamily(qs, [realize_loop(qs, kx), based])
+        for rx, cx in _loop_terms(qs, x):
+            fam = GenericFamily(qs, [rx, based])
             for p, q, coeff in fam.crossing_pairs(signs):
                 prefix, suffix = fam.splice_words(q)
                 yield prefix * fam.rotation_word(p) * suffix, cx * coeff

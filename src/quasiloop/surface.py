@@ -67,18 +67,34 @@ class QuasiSurfaceSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiSurfaceSpec":
+        """A spec read from JSON.  Gates, vertices and edges are arrays,
+        every edge a pair, the gluing an object, and every id (gate,
+        vertex, edge end, gluing key and value, basepoint) a string;
+        anything else is a malformed spec."""
         try:
             if any(not isinstance(d["gates"], list) for d in data["disks"]):
                 raise ValueError("malformed quasi-surface spec: gates must be a list")
             disks = tuple(tuple(d["gates"]) for d in data["disks"])
             graph = data["graph"]
-            vertices = tuple(graph["vertices"])
-            edges = tuple((e[0], e[1]) for e in graph.get("edges", ()))
-            gluing = dict(data["gluing"])
+            vertices = graph["vertices"]
+            edges = graph.get("edges", [])
+            gluing = data["gluing"]
             basepoint = data["basepoint"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"malformed quasi-surface spec: {exc}") from exc
-        return cls(disks, vertices, edges, gluing, basepoint)
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise ValueError("malformed quasi-surface spec: vertices and edges must be lists")
+        if not isinstance(gluing, dict):
+            raise ValueError("malformed quasi-surface spec: gluing must be an object")
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"malformed quasi-surface spec: an edge has two ends, got {e!r}")
+        ids = [*(g for gates in disks for g in gates), *vertices, *(v for e in edges for v in e),
+               *gluing.keys(), *gluing.values(), basepoint]
+        for x in ids:
+            if type(x) is not str:
+                raise ValueError(f"malformed quasi-surface spec: ids must be strings, got {x!r}")
+        return cls(disks, tuple(vertices), tuple((u, w) for u, w in edges), dict(gluing), basepoint)
 
     def to_json_dict(self) -> dict:
         return {

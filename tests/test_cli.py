@@ -38,11 +38,19 @@ def test_validate_spec_file(capsys, tmp_path):
 
 
 def test_validate_malformed_json(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = run(capsys, "validate", "--spec", str(path))
-    assert code == 1
-    assert "error" in json.loads(err)
+    # text that is not JSON, and a spec whose basepoint id is a JSON list
+    # (an unhashable key, once a traceback)
+    list_id = fixture_spec("qt2").to_json_dict()
+    list_id["basepoint"] = [list_id["basepoint"]]
+    for name, text in (("bad", "{not json"), ("list_id", json.dumps(list_id))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "error" in json.loads(err)
+    assert json.loads(err)["error"].startswith("malformed quasi-surface spec: ")
 
 
 def test_validate_disconnected(capsys, tmp_path):
@@ -226,13 +234,28 @@ def test_diagram_input(capsys, tmp_path):
     assert json.loads(out)["value"] == [[1, "g1 g2^-1 g1 g2^-1"]]
 
 
+def qt2_arc(**fields):
+    """The one-arc diagram of ``g1 g2^-1`` on qt2, with some fields replaced."""
+    return {"arcs": [{"disk": 0, "lane": 0, "depth": 1, "reverse": False, **fields}], "paths": [[]]}
+
+
 def test_malformed_diagram_input(capsys, tmp_path):
     # a top-level list, a one-element path step and a step of sign 2 are
-    # malformed diagrams
+    # malformed diagrams; so is any field of another JSON type, which is
+    # never coerced (a string "false" is not a boolean, 0.9 is not disk 0)
     for name, spec, data, y in (
         ("list", "qg1", [], "g1 g3^-1"),
         ("step", "qg1", {"paths": [[["g1"]]]}, "g1 g3^-1"),
         ("sign", "qy1", {"arcs": [], "paths": [[["e1", 2]]]}, "e1"),
+        ("reverse_string", "qt2", qt2_arc(reverse="false"), "g1 g2^-1"),
+        ("reverse_int", "qt2", qt2_arc(reverse=0), "g1 g2^-1"),
+        ("disk_float", "qt2", qt2_arc(disk=0.9), "g1 g2^-1"),
+        ("lane_bool", "qt2", qt2_arc(lane=True), "g1 g2^-1"),
+        ("depth_float", "qt2", qt2_arc(depth=1.5), "g1 g2^-1"),
+        ("depth_bool", "qt2", qt2_arc(depth=True), "g1 g2^-1"),
+        ("sign_float", "qy1", {"arcs": [], "paths": [[["e1", 1.5]]]}, "e1"),
+        ("sign_bool", "qy1", {"arcs": [], "paths": [[["e1", True]]]}, "e1"),
+        ("token_int", "qy1", {"arcs": [], "paths": [[[1, 1]]]}, "e1"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")

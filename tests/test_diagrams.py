@@ -8,6 +8,7 @@ from quasiloop.diagrams import (
     GenericFamily,
     LaneDiagram,
     SurfaceCrossing,
+    all_orientations,
     combine_generic,
     diagram_from_cyclic_path,
     diagram_to_word,
@@ -261,7 +262,7 @@ def test_rotation_words_equal_collapsed_rotated_paths():
         based = realize_based(qs, random_word(rng, qs.rank, max_len=8))
         fam = GenericFamily(qs, [realize_loop(qs, x), based])
         for gate in qs.gates:
-            for ref in fam.crossings_of(gate, 1):
+            for ref in (c for c in fam.gate_sequence(gate) if c.loop == 1):
                 arc = based.arcs[ref.arc]
                 cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
                 assert fam.splice_words(ref) == (
@@ -330,3 +331,99 @@ def test_direct_realization_equals_diagram_route():
         fam = combine_generic(qs, classes)
         assert [diagram_to_word(qs, d) for d in fam.diagrams()] == classes
     assert graph_loops >= 20
+
+
+# --- the gate order, against the stored order it replaced -----------------
+
+
+def reference_gate_order(qs, loops, normalize=True):
+    """Reference: the gate order as a family once stored it.  Depths are
+    renumbered per lane by (argument index, own depth) (verbatim without
+    ``normalize``); then each gate lists the arcs of the preceding lane by
+    increasing depth and those of the following lane by decreasing depth.
+    Returns ``depths[loop][arc]`` and each gate's ``(loop, arc, entry,
+    sign)`` sequence."""
+    depths = [[arc.depth for arc in rl.arcs] for rl in loops]
+    if normalize:
+        lanes = {}
+        for loop_idx, rl in enumerate(loops):
+            for arc_idx, arc in enumerate(rl.arcs):
+                lanes.setdefault((arc.disk, arc.lane), []).append((loop_idx, arc.depth, arc_idx))
+        for members in lanes.values():
+            members.sort()
+            for new_depth, (loop_idx, _, arc_idx) in enumerate(members, start=1):
+                depths[loop_idx][arc_idx] = new_depth
+    by_lane = {}
+    for loop_idx, rl in enumerate(loops):
+        for arc_idx, arc in enumerate(rl.arcs):
+            by_lane.setdefault((arc.disk, arc.lane), []).append(
+                (depths[loop_idx][arc_idx], loop_idx, arc_idx, arc)
+            )
+    order = {}
+    for gate in qs.gates:
+        disk, pos = qs.gate_position[gate]
+        m = len(qs.disk_gates(disk))
+        prev_members = sorted(by_lane.get((disk, (pos - 1) % m), ()), key=lambda t: t[0])
+        next_members = sorted(by_lane.get((disk, pos), ()), key=lambda t: -t[0])
+        seq = []
+        for _, loop_idx, arc_idx, arc in prev_members:
+            entry = arc.reverse  # the far endpoint of the lane is the entry of a reverse arc
+            seq.append((loop_idx, arc_idx, entry, 1 if entry else -1))
+        for _, loop_idx, arc_idx, arc in next_members:
+            entry = not arc.reverse
+            seq.append((loop_idx, arc_idx, entry, 1 if entry else -1))
+        order[gate] = tuple(seq)
+    return depths, order
+
+
+def reference_pairs(qs, order, omega):
+    """Reference crossing pairs, read off the stored sequences."""
+    pairs = []
+    for k, gate in enumerate(qs.gates):
+        seq = order[gate]
+        for i, p in enumerate(seq):
+            if p[0] == 0:
+                for q in seq[:i] if omega[k] > 0 else seq[i + 1:]:
+                    if q[0] == 1:
+                        pairs.append((p, q, omega[k] * p[3] * q[3]))
+    return sorted(pairs)
+
+
+def ref_tuple(ref):
+    return (ref.loop, ref.arc, ref.entry, ref.sign)
+
+
+def assert_reference_order(qs, fam, normalize=True):
+    depths, order = reference_gate_order(qs, fam.loops, normalize)
+    for gate in qs.gates:
+        assert tuple(ref_tuple(c) for c in fam.gate_sequence(gate)) == order[gate]
+    assert fam.diagrams() == tuple(rl.diagram(d) for rl, d in zip(fam.loops, depths))
+    for omega in all_orientations(qs):
+        pairs = sorted((ref_tuple(p), ref_tuple(q), c) for p, q, c in fam.crossing_pairs(omega))
+        assert pairs == reference_pairs(qs, order, omega)
+    return sum(len(seq) for seq in order.values())
+
+
+def test_gate_order_equals_stored_reference():
+    # generic pairs and 3-loop families, class x based pairs, and explicit
+    # pairs whose depths were permuted jointly per lane
+    from quasiloop.selftest import _permute_depths
+
+    rng = random.Random(43)
+    shared_lanes = 0
+    for _ in range(150):
+        qs = random_surface(rng)
+        x, y, z = (random_class(rng, qs.rank, max_len=8) for _ in range(3))
+        loops = [realize_loop(qs, c) for c in (x, y, z)]
+        assert_reference_order(qs, GenericFamily(qs, loops[:2]))
+        assert_reference_order(qs, GenericFamily(qs, [loops[1], loops[0], loops[1]]))
+        assert_reference_order(qs, GenericFamily(qs, loops))
+        based = realize_based(qs, random_word(rng, qs.rank, max_len=8))
+        assert_reference_order(qs, GenericFamily(qs, [loops[0], based]))
+        pair = _permute_depths(rng, combine_generic(qs, [x, y]).diagrams())
+        fam, _ = explicit_pair(qs, ExplicitDiagram(tuple(pair), ()))
+        assert_reference_order(qs, fam, normalize=False)
+        lanes = [{(a.disk, a.lane) for a in rl.arcs} for rl in loops[:2]]
+        shared_lanes += bool(lanes[0] & lanes[1])
+    # the argument index in the key only matters where two loops share a lane
+    assert shared_lanes >= 50

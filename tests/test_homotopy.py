@@ -442,7 +442,8 @@ def fresh_brace(qs, gate, args):
         coeff = 1
         for _, c in picks:
             coeff *= c
-        per_loop = [fam.crossings_of(gate, i) for i in range(len(picks))]
+        sequence = fam.gate_sequence(gate)
+        per_loop = [[c for c in sequence if c.loop == i] for i in range(len(picks))]
         for combo in itertools.product(*per_loop):
             sign, word = coeff, Word()
             for ref in combo:

@@ -75,6 +75,38 @@ def test_spec_json_round_trip(qd2):
     assert QuasiSurfaceSpec.from_json_dict(data) == qd2.spec
 
 
+def qd2_data(**changes):
+    data = {
+        "disks": [{"gates": ["g1", "g2", "g3"]}, {"gates": ["g4", "g5"]}],
+        "graph": {"vertices": ["w1", "w2"], "edges": [["w1", "w2"], ["w1", "w2"]]},
+        "gluing": {"g1": "w1", "g2": "w2", "g3": "w1", "g4": "w2", "g5": "w1"},
+        "basepoint": "w1",
+    }
+    data.update(changes)
+    return data
+
+
+MALFORMED_SPECS = {
+    # a non-string id would reach a set or dict lookup as an unhashable key
+    "basepoint_list": qd2_data(basepoint=["w1"]),
+    "vertex_list": qd2_data(graph={"vertices": ["w1", ["w2"]], "edges": [["w1", "w2"]]}),
+    "gate_list": qd2_data(disks=[{"gates": ["g1", ["g2"], "g3"]}, {"gates": ["g4", "g5"]}]),
+    "edge_end_list": qd2_data(graph={"vertices": ["w1", "w2"], "edges": [["w1", ["w2"]]]}),
+    "gluing_value_list": qd2_data(gluing={"g1": "w1", "g2": ["w2"], "g3": "w1", "g4": "w2", "g5": "w1"}),
+    "gluing_value_int": qd2_data(gluing={"g1": "w1", "g2": 2, "g3": "w1", "g4": "w2", "g5": "w1"}),
+    "gluing_key_int": qd2_data(gluing={"g1": "w1", 2: "w2", "g3": "w1", "g4": "w2", "g5": "w1"}),
+    "vertex_int": qd2_data(graph={"vertices": ["w1", 2], "edges": []}),
+    # an edge of three ends was cut to two; a string was split into
+    # letters, and an object read as its keys
+    "edge_three_ends": qd2_data(graph={"vertices": ["w1", "w2"], "edges": [["w1", "w2", "w1"]]}),
+    "edge_string": qd2_data(graph={"vertices": ["w1", "w2"], "edges": ["w1"]}),
+    "vertices_string": qd2_data(graph={"vertices": "w1w2", "edges": []}),
+    "edges_object": qd2_data(graph={"vertices": ["w1", "w2"], "edges": {"w1": "w2"}}),
+    # a list of pairs was read as the gluing
+    "gluing_pairs": qd2_data(gluing=[["g1", "w1"], ["g2", "w2"], ["g3", "w1"], ["g4", "w2"], ["g5", "w1"]]),
+}
+
+
 def test_malformed_spec(qt2):
     with pytest.raises(ValueError, match="malformed"):
         QuasiSurfaceSpec.from_json_dict({"disks": [{}]})
@@ -84,6 +116,9 @@ def test_malformed_spec(qt2):
     data["gluing"] = {"a": "v", "b": "v"}
     with pytest.raises(ValueError, match="malformed"):
         QuasiSurfaceSpec.from_json_dict(data)
+    for bad in MALFORMED_SPECS.values():
+        with pytest.raises(ValueError, match="^malformed quasi-surface spec: "):
+            QuasiSurfaceSpec.from_json_dict(bad)
 
 
 def test_parse_loop_rejects_open_paths(qg1):
