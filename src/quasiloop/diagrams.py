@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .surface import EdgePath, EdgeStep, QuasiSurface
-from .words import ConjClass, Letter, Word, _reduce, _word, canonical_conjugacy
+from .words import Codes, ConjClass, Word, _reduce, _word, canonical_conjugacy
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,15 @@ class _RArc:
 
 @dataclass
 class _RLoop:
-    """A realized loop.  Its letters are collapsed and its gate endpoints
+    """A realized loop.  Its letter codes are collapsed and its gate endpoints
     listed once, and its rotation words are cached on it, so a loop
     realized once per operation serves every family of that operation."""
 
     edge_path: EdgePath  # detours included; positions below index into it
     arcs: list[_RArc]
     cyclic: bool
-    letters: tuple[Letter, ...]  # the generator letters of edge_path, unreduced
-    before: list[int]  # before[i]: the number of letters in edge_path[:i]
+    codes: Codes  # the letter codes of edge_path, unreduced
+    before: list[int]  # before[i]: the number of codes in edge_path[:i]
     crossings: list[list[tuple[int, bool]]]  # crossings[k]: (arc, entry) at gate k
     rotations: dict[int, Word] = field(default_factory=dict)
 
@@ -205,7 +205,7 @@ class _RLoop:
         k = self.before[cut]
         word = self.rotations.get(k)
         if word is None:
-            word = self.rotations[k] = _word(_reduce(self.letters[k:] + self.letters[:k]))
+            word = self.rotations[k] = _word(_reduce(self.codes[k:] + self.codes[:k]))
         return word
 
     def diagram(self, depths: "Sequence[int] | None" = None) -> LaneDiagram:
@@ -304,7 +304,7 @@ def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
 
 
 def _rloop(qs: QuasiSurface, steps: list[EdgeStep], arcs: list[_RArc], cyclic: bool) -> _RLoop:
-    """The realized loop of a walk: its letters collapsed, and each arc's
+    """The realized loop of a walk: its letter codes collapsed, and each arc's
     entry and exit listed at their gates."""
     crossings: list[list[tuple[int, bool]]] = [[] for _ in qs.gates]
     for i, arc in enumerate(arcs):
@@ -514,7 +514,7 @@ class GenericFamily:
         if rl.cyclic:
             raise ValueError("splice words are only defined for based loops")
         k = rl.before[rl.cut(ref.arc, ref.entry)]
-        return _word(_reduce(rl.letters[:k])), _word(_reduce(rl.letters[k:]))
+        return _word(_reduce(rl.codes[:k])), _word(_reduce(rl.codes[k:]))
 
 
 def combine_generic(
@@ -553,7 +553,8 @@ def explicit_pair(
 
 def parse_omega(qs: QuasiSurface, omega: "str | Sequence[int] | None") -> tuple[int, ...]:
     """Normalize a gate orientation: one sign per gate in declared order;
-    +1 means the gate keeps its counterclockwise reference direction."""
+    +1 means the gate keeps its counterclockwise reference direction.  A
+    sequence must hold ints (not bools) of +-1; nothing is coerced."""
     if omega is None:
         return (1,) * qs.n_gates
     if isinstance(omega, str):
@@ -562,9 +563,9 @@ def parse_omega(qs: QuasiSurface, omega: "str | Sequence[int] | None") -> tuple[
                 f"orientation string must be {qs.n_gates} characters of '+'/'-', got {omega!r}"
             )
         return tuple(1 if ch == "+" else -1 for ch in omega)
-    signs = tuple(int(s) for s in omega)
-    if len(signs) != qs.n_gates or any(s not in (1, -1) for s in signs):
-        raise ValueError("orientation must assign +-1 to every gate")
+    signs = tuple(omega)
+    if len(signs) != qs.n_gates or not all(type(s) is int and (s == 1 or s == -1) for s in signs):
+        raise ValueError(f"orientation must assign an int +1 or -1 to every gate, got {omega!r}")
     return signs
 
 

@@ -57,17 +57,17 @@ class FoxDerivative:
     def _word_terms(self, w: Word) -> Iterator[tuple[Word, int]]:
         """The terms of d(w), before merging; the prefixes of the reduced
         word ``w`` are reduced, so they are taken as they stand."""
-        letters = w.letters
-        for i, (g, s) in enumerate(letters):
-            img = self._image(g)
-            if s > 0:
-                prefix = _word(letters[:i])
-                for u, c in img:
-                    yield prefix * u, c
-            else:
-                left = _word(letters[: i + 1])
+        codes = w.codes
+        for i, code in enumerate(codes):
+            img = self._image(code >> 1)
+            if code & 1:
+                left = _word(codes[: i + 1])
                 for u, c in img:
                     yield left * u, -c
+            else:
+                prefix = _word(codes[:i])
+                for u, c in img:
+                    yield prefix * u, c
 
     def apply(self, x: "GroupRingElement | Word") -> GroupRingElement:
         if isinstance(x, Word):

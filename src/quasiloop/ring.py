@@ -99,7 +99,18 @@ class _Combination:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable, rank: int | None = None):
-        return cls.collect((cls._key(parse_word(text, rank)), int(coeff)) for coeff, text in pairs)
+        """The combination of ``[coeff, "word"]`` pairs, as :meth:`to_pairs`
+        writes them; a coefficient must be an ``int`` (not a ``bool``) and
+        a word a string, nothing is coerced."""
+        return cls.collect(cls._read_pair(pair, rank) for pair in pairs)
+
+    @classmethod
+    def _read_pair(cls, pair, rank: int | None) -> tuple:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is str):
+            raise ValueError(f"malformed combination: a term is an [integer, word] pair, got {pair!r}")
+        coeff, text = pair
+        return cls._key(parse_word(text, rank)), coeff
 
 
 class GroupRingElement(_Combination):

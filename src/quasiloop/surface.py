@@ -32,19 +32,23 @@ from typing import Iterable, Mapping, Sequence
 from .fox import FoxDerivative
 from .ring import GroupRingElement
 from .words import (
+    Codes,
     ConjClass,
-    Letter,
     Word,
+    _inverse,
     _reduce,
+    _word,
     canonical_conjugacy,
     cyclic_reduction,
-    letter_key,
+    decode,
+    encode,
     minimal_rotation,
 )
 
 # An edge traversal: (edge index in the total graph, +1 forward / -1 backward).
-# It has the shape of a free-group letter, so edge paths are reduced and
-# rotated with the letter helpers of :mod:`quasiloop.words`.
+# It has the shape of a free-group letter: where edge paths are reduced or
+# rotated they are coded as letters are, ``2 e + (d < 0)``, and go through
+# the code helpers of :mod:`quasiloop.words`.
 EdgeStep = tuple[int, int]
 EdgePath = tuple[EdgeStep, ...]
 
@@ -229,8 +233,12 @@ class QuasiSurface:
                 + ((e, -1),)
                 + self.tree_path_to_base(edge.source)
             )
-            loops.append(_reduce(path))
-        self.generator_loops: tuple[EdgePath, ...] = tuple(loops)
+            loops.append(_reduce(encode(path)))
+        self.generator_loops: tuple[EdgePath, ...] = tuple(decode(loop) for loop in loops)
+        # the coded edge path of each letter code: generator loops and their inverses
+        self._loop_codes: tuple[Codes, ...] = tuple(
+            path for loop in loops for path in (loop, _inverse(loop))
+        )
 
     # --- elementary queries --------------------------------------------
 
@@ -272,35 +280,43 @@ class QuasiSurface:
 
     def word_from_edge_path(self, path: Sequence[EdgeStep]) -> Word:
         """Collapse the spanning tree: a closed edge path becomes a group word."""
-        return Word(self.collapse(path)[0])
+        return _word(_reduce(self.collapse(path)[0]))
 
-    def collapse(self, path: Sequence[EdgeStep]) -> tuple[tuple[Letter, ...], list[int]]:
-        """The generator letters of an edge path, unreduced, and for each
-        position ``i <= len(path)`` the number of letters in ``path[:i]``."""
+    def collapse(self, path: Sequence[EdgeStep]) -> tuple[Codes, list[int]]:
+        """The letter codes of an edge path, unreduced, and for each
+        position ``i <= len(path)`` the number of letters in ``path[:i]``.
+        A generator edge walked forward reads as its generator's inverse."""
         gen_of_edge = self._gen_of_edge
-        letters: list[Letter] = []
+        codes: list[int] = []
         before = []
         for e, d in path:
-            before.append(len(letters))
+            before.append(len(codes))
             g = gen_of_edge.get(e)
             if g is not None:
-                letters.append((g, -d))
-        before.append(len(letters))
-        return tuple(letters), before
+                codes.append(2 * g + (d > 0))
+        before.append(len(codes))
+        return tuple(codes), before
 
-    def edge_path_of_word(self, w: Word) -> EdgePath:
-        path: list[EdgeStep] = []
-        for g, s in w.letters:
-            if g >= self.rank:
-                raise ValueError(f"generator index {g} out of range for rank {self.rank}")
-            loop = self.generator_loops[g]
-            path.extend(loop if s > 0 else invert_edge_path(loop))
+    def _edge_codes_of_word(self, w: Word) -> Codes:
+        """The reduced coded edge path of a word, read from the basepoint."""
+        loop_codes = self._loop_codes
+        path: list[int] = []
+        for c in w.codes:
+            if c >= len(loop_codes):
+                raise ValueError(f"generator index {c >> 1} out of range for rank {self.rank}")
+            path.extend(loop_codes[c])
         return _reduce(path)
 
+    def edge_path_of_word(self, w: Word) -> EdgePath:
+        return decode(self._edge_codes_of_word(w))
+
+    def _cyclic_edge_codes(self, c: ConjClass) -> Codes:
+        return minimal_rotation(cyclic_reduction(self._edge_codes_of_word(c.representative())))
+
     def cyclic_edge_path(self, c: ConjClass) -> EdgePath:
-        """The canonical cyclically reduced closed edge path of a class."""
-        path = cyclic_reduction(self.edge_path_of_word(c.representative()))
-        return minimal_rotation(path)
+        """The canonical cyclically reduced closed edge path of a class: the
+        least rotation of its codes."""
+        return decode(self._cyclic_edge_codes(c))
 
     def validate_edge_path(self, path: Sequence[EdgeStep], closed_at: int | None = None) -> None:
         at = closed_at
@@ -354,9 +370,9 @@ class QuasiSurface:
         return self.format_edge_path(self.cyclic_edge_path(c))
 
     def format_combination(self, x) -> list[list]:
-        pairs = [(coeff, self.cyclic_edge_path(k)) for k, coeff in x.terms.items()]
-        pairs.sort(key=lambda t: (len(t[1]), tuple(letter_key(s) for s in t[1])))
-        return [[coeff, self.format_edge_path(p)] for coeff, p in pairs]
+        pairs = [(coeff, self._cyclic_edge_codes(k)) for k, coeff in x.terms.items()]
+        pairs.sort(key=lambda t: (len(t[1]), t[1]))
+        return [[coeff, self.format_edge_path(decode(p))] for coeff, p in pairs]
 
     # --- gate structure ---------------------------------------------------
 

@@ -91,8 +91,8 @@ def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
 @dataclass(frozen=True)
 class RepresentationPoint:
     """Invertible rational matrices assigned to the free generators, each
-    (and its inverse) also kept split as in ``_split``, so that a word is
-    evaluated by integer products and one division."""
+    (and its inverse) also kept split as in ``_split`` under its letter
+    code, so that a word is evaluated by integer products and one division."""
 
     n: int
     images: tuple[Matrix, ...]
@@ -100,8 +100,8 @@ class RepresentationPoint:
     _letters: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        letters = {(g, 1): _split(m) for g, m in enumerate(self.images)}
-        letters.update(((g, -1), _split(m)) for g, m in enumerate(self.inverses))
+        letters = {2 * g: _split(m) for g, m in enumerate(self.images)}
+        letters.update((2 * g + 1, _split(m)) for g, m in enumerate(self.inverses))
         object.__setattr__(self, "_letters", letters)
 
     @classmethod
@@ -132,10 +132,10 @@ class RepresentationPoint:
     def _word_split(self, w: Word) -> tuple[IntMatrix, int]:
         """``_split`` of the word's matrix, by integer products."""
         num, d = None, 1
-        for letter in w.letters:
-            factor = self._letters.get(letter)
+        for code in w.codes:
+            factor = self._letters.get(code)
             if factor is None:
-                raise ValueError(f"no matrix image for generator g{letter[0] + 1}")
+                raise ValueError(f"no matrix image for generator g{(code >> 1) + 1}")
             num = factor[0] if num is None else mat_mul(num, factor[0])
             d *= factor[1]
         if num is None:

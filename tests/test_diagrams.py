@@ -324,7 +324,7 @@ def test_direct_realization_equals_diagram_route():
             reference = realize_loop(qs, word_to_diagram(qs, c))
             assert direct.edge_path == reference.edge_path
             assert direct.arcs == reference.arcs
-            assert direct.letters == reference.letters
+            assert direct.codes == reference.codes
             assert direct.before == reference.before
             assert direct.diagram() == word_to_diagram(qs, c)
             assert canonical_conjugacy(direct.rotation(0)) == c

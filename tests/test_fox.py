@@ -172,3 +172,22 @@ def test_from_json_dict_rejects_bad_generator_tokens(token):
 def test_from_json_dict_rejects_token_beyond_rank():
     with pytest.raises(ValueError, match="exceeds rank"):
         FoxDerivative.from_json_dict({"g3": [[1, ""]]})
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[1.5, "g1"]], [[True, "g1^-1"]], [["2", ""]], [[1, 5]], [[1, "g1", 2]], [7], ["g1"]],
+    ids=["float", "bool", "string_coeff", "int_word", "triple", "bare_int", "bare_word"],
+)
+def test_from_json_dict_rejects_malformed_terms(pairs):
+    with pytest.raises(ValueError, match="malformed combination"):
+        FoxDerivative.from_json_dict({"g1": pairs})
+
+
+def test_from_json_dict_does_not_coerce_coefficients():
+    # coefficients were once read with int(), so this was 2*[] + 1*[g1] + 1*[g1^-1]
+    with pytest.raises(ValueError, match="malformed combination"):
+        FoxDerivative.from_json_dict({"g1": [[1.5, "g1"], [True, "g1^-1"], ["2", ""]]})
+    assert FoxDerivative.from_json_dict({"g1": [[2, ""], [-1, "g1^-1"]]}).images[0].to_pairs() == [
+        [2, ""], [-1, "g1^-1"]
+    ]

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from quasiloop.diagrams import flip_gate, opposite, parse_omega, word_to_diagram
 from quasiloop.homology import first_form, gate_dual, gram_matrix, h1_class, second_form
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
@@ -39,6 +41,18 @@ def test_second_form_skew(qg1):
 def test_omega_string_parsing(qg1):
     assert parse_omega(qg1, "+-+-") == (1, -1, 1, -1)
     assert opposite((1, -1)) == (-1, 1)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [[1.5, -1], [True, "-1"], [1, True], [1.0, -1], ["1", -1], [1, -1, 1], [1, 0]],
+    ids=["float", "bool_and_string", "bool", "integral_float", "string", "too_long", "zero"],
+)
+def test_omega_sequence_is_not_coerced(qt2, omega):
+    # once read with int(), so [1.5, -1] and [True, "-1"] both gave (1, -1)
+    assert parse_omega(qt2, [1, -1]) == parse_omega(qt2, (1, -1)) == (1, -1)
+    with pytest.raises(ValueError, match="orientation"):
+        parse_omega(qt2, omega)
 
 
 def test_reversal_law():

@@ -4,7 +4,7 @@ import pytest
 
 from quasiloop.randomcase import random_surface, random_word
 from quasiloop.surface import QuasiSurfaceSpec, build, invert_edge_path
-from quasiloop.words import _reduce, format_word
+from quasiloop.words import _reduce, encode, format_word
 
 
 def test_qt2_presentation(qt2):
@@ -166,10 +166,10 @@ def test_word_edge_path_round_trip_random():
 
 
 def test_reduce_edge_path(qd2):
-    # edge paths reduce with the same helper as words
-    assert _reduce(((0, 1), (0, -1), (2, 1))) == ((2, 1),)
+    # edge paths, coded as letters are, reduce with the same helper as words
+    assert _reduce(encode(((0, 1), (0, -1), (2, 1)))) == encode(((2, 1),))
     loop = qd2.generator_loops[0]
-    assert _reduce(loop + invert_edge_path(loop)) == ()
+    assert _reduce(encode(loop + invert_edge_path(loop))) == ()
 
 
 def test_gate_derivative_values(qt2):

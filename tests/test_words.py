@@ -9,6 +9,9 @@ from quasiloop.words import (
     abelianize,
     canonical_conjugacy,
     commutator,
+    cyclic_reduction,
+    decode,
+    encode,
     format_word,
     letter_key,
     minimal_rotation,
@@ -26,8 +29,8 @@ words_st = st.lists(letters_st, max_size=12).map(Word)
 
 def test_reduce_inverse_pair_cancels():
     assert W((0, 1), (0, -1)) == Word()
-    # edge paths of a surface reduce with the same helper
-    assert _reduce(((0, 1), (0, -1), (2, 1))) == ((2, 1),)
+    # edge paths of a surface, coded as letters are, reduce with the same helper
+    assert _reduce(encode(((0, 1), (0, -1), (2, 1)))) == encode(((2, 1),))
 
 
 def test_reduce_inner_cancellation():
@@ -182,14 +185,46 @@ def repeated_least_words():
 
 def test_minimal_rotation_equals_brute_force():
     for letters in repeated_least_words():
-        assert minimal_rotation(letters) == plain_minimal_rotation(letters)
+        assert minimal_rotation(encode(letters)) == encode(plain_minimal_rotation(letters))
 
 
 def test_minimal_rotation_of_edge_paths(qd2, qg1):
-    # edge paths share the letter shape and the rotation helper
+    # edge paths share the letter code and the rotation helper
     rng = random.Random(23)
     for qs in (qd2, qg1):
         for _ in range(100):
             w = Word((rng.randrange(qs.rank), rng.choice((1, -1))) for _ in range(rng.randint(1, 10)))
             path = qs.edge_path_of_word(w * w)
-            assert minimal_rotation(path) == plain_minimal_rotation(path)
+            assert minimal_rotation(encode(path)) == encode(plain_minimal_rotation(path))
+
+
+# --- the letter code against plain (g, s) references ------------------------
+
+def plain_cyclic_reduction(letters):
+    """Reference: strip inverse pairs across the wraparound, one at a time."""
+    letters = tuple(letters)
+    while len(letters) >= 2 and letters[-1] == (letters[0][0], -letters[0][1]):
+        letters = letters[1:-1]
+    return letters
+
+
+# few generators, so that letters cancel, and indices past 127
+wide_letters_st = st.tuples(st.sampled_from((0, 1, 127, 128, 255, 4096)), st.sampled_from((1, -1)))
+wide_lists_st = st.lists(wide_letters_st, max_size=64)
+
+
+@given(wide_lists_st, wide_lists_st, wide_lists_st)
+def test_codes_agree_with_letter_references(a, b, c):
+    u, w, v = Word(a), Word(b), Word(c)
+    assert u.letters == plain_reduce(a) and w.letters == plain_reduce(b)
+    assert decode(encode(a)) == tuple(a)
+    assert _reduce(encode(a)) == u.codes == encode(plain_reduce(a))
+    assert (u * w).letters == plain_reduce(u.letters + w.letters)
+    # the seam of (v u^-1) * (u w) cancels all of u and may go on
+    left, right = v * ~u, u * w
+    assert (left * right).letters == plain_reduce(left.letters + right.letters)
+    assert (~u).letters == plain_reduce((g, -s) for g, s in reversed(u.letters))
+    cyclic = plain_cyclic_reduction(u.letters)
+    assert decode(cyclic_reduction(u.codes)) == cyclic
+    assert decode(minimal_rotation(encode(cyclic))) == plain_minimal_rotation(cyclic)
+    assert canonical_conjugacy(u).word.letters == plain_minimal_rotation(cyclic)
