@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from .ring import GroupRingElement, LoopCombination, project_to_classes
-from .words import ConjClass, Word, _word
+from .words import ConjClass, Word, _token_number, _word
 
 
 class FoxDerivative:
@@ -110,9 +110,10 @@ class FoxDerivative:
         rank = len(data)
         images = [GroupRingElement.zero()] * rank
         for token, pairs in data.items():
-            if not token.startswith("g") or not token[1:].isdigit() or int(token[1:]) < 1:
+            number = _token_number(token)
+            if number is None or number < 1:
                 raise ValueError(f"bad generator token {token!r}")
-            g = int(token[1:]) - 1
+            g = number - 1
             if g >= rank:
                 raise ValueError(f"generator token {token!r} exceeds rank {rank}")
             images[g] = GroupRingElement.from_pairs(pairs)

@@ -3,11 +3,15 @@
 All operations return exact integer combinations of conjugacy classes.
 The oriented pairing grafts the two loops at every crossing forced near a
 gate (and at every declared surface crossing), with the loop words
-rotated to the crossing; antisymmetrizing gives the orientation-free
-bracket generalizing the Goldman bracket.  The gate braces multiply one
-rotation per loop over all crossing tuples of a single gate; they agree
-with the algebraic braces built from the gate's Fox derivative, which is
-the engine's standing cross-check.
+rotated to the crossing.  The skew bracket, the pairing minus its
+transpose, keeps only the grafts of crossings on opposite sides of a
+gate: a pair of crossings on the same side is grafted once in each
+pairing, to the same class with the same coefficient, and cancels.  It
+therefore needs no orientation, and it reads each argument's side table,
+the signed rotation words of its crossings per gate and side.  The gate
+braces multiply one rotation per loop over all crossing tuples of a
+single gate; they agree with the algebraic braces built from the gate's
+Fox derivative, which is the engine's standing cross-check.
 """
 
 from __future__ import annotations
@@ -41,6 +45,39 @@ def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
     if isinstance(x, (ConjClass, LaneDiagram)):
         return [(realize_loop(qs, x), 1)]
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop combination")
+
+
+_Side = list[tuple[Word, int]]
+
+
+def _side_table(qs: QuasiSurface, x) -> list[tuple[_Side, _Side]]:
+    """An argument's crossings, per gate, as ``(start, end)``: the rotation
+    word and coeff · sign of each crossing on the lane starting at the gate
+    counterclockwise (``entry != arc.reverse``, the side rule of
+    ``GenericFamily._place``) and of each crossing on the lane ending
+    there, over the argument's terms, each term realized once."""
+    table: list[tuple[_Side, _Side]] = [([], []) for _ in qs.gates]
+    for rl, c in _loop_terms(qs, x):
+        for (start, end), crossings in zip(table, rl.crossings):
+            for arc, entry in crossings:
+                side = start if entry != rl.arcs[arc].reverse else end
+                side.append((rl.rotation(rl.cut(arc, entry)), c if entry else -c))
+    return table
+
+
+def _bracket_terms(
+    tx: Sequence[tuple[_Side, _Side]], ty: Sequence[tuple[_Side, _Side]]
+) -> Iterator[tuple[ConjClass, int]]:
+    """The grafts of ``[x, y]`` from the side tables of x and y: at each
+    gate, x's start side with y's end side, minus y's start side with x's
+    end side."""
+    for (start_x, end_x), (start_y, end_y) in zip(tx, ty):
+        for a, ca in start_x:
+            for b, cb in end_y:
+                yield canonical_conjugacy(a * b), ca * cb
+        for b, cb in start_y:
+            for a, ca in end_x:
+                yield canonical_conjugacy(b * a), -cb * ca
 
 
 def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCombination:
@@ -103,10 +140,15 @@ def bullet(
 
 def second_bracket(qs: QuasiSurface, x, y, omega=None) -> LoopCombination:
     """The skew-symmetric homotopy bracket: the oriented pairing minus its
-    transpose.  Independent of the orientation used to compute it (the
-    default is all-counterclockwise); passing one only changes the route."""
-    signs = parse_omega(qs, omega)
-    return bullet(qs, signs, x, y) - bullet(qs, signs, y, x)
+    transpose, ``bullet(omega; x, y) - bullet(omega; y, x)`` for every
+    orientation.  Only the pairs of crossings on opposite sides of a gate
+    survive that difference, so it is summed from those:
+    ``[x, y] = sum_k p(A+_k(x) A-_k(y)) - p(A+_k(y) A-_k(x))``, where
+    ``A+_k`` and ``A-_k`` are the signed rotation words of the start- and
+    end-side crossings at gate k.  ``omega`` is validated and otherwise
+    unused: it changes neither the value nor the route."""
+    parse_omega(qs, omega)
+    return LoopCombination.collect(_bracket_terms(_side_table(qs, x), _side_table(qs, y)))
 
 
 def kk_pairing(

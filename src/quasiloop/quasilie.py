@@ -3,39 +3,64 @@
 The skew 2-bracket fails the Jacobi identity on a quasi-surface exactly
 by the gate terms: the Jacobiator equals mu(x,y,z) - mu(y,x,z) for the
 cyclically symmetric 3-bracket mu summing the gate braces over all
-gates.  The verifier computes both sides exactly; the P/u diagnostics
+gates.  The verifier computes both sides exactly, from one side table
+per argument (see ``homotopy._side_table``); the P/u diagnostics
 recompute the Jacobiator from the oriented pairing's associativity
 defects and localize a hypothetical failure.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .diagrams import opposite, parse_omega
-from .homotopy import bullet, gate_brace_geometric, second_bracket
-from .ring import LoopCombination
+from .homotopy import _Side, _bracket_terms, _side_table, bullet
+from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
+from .words import canonical_conjugacy
+
+
+def _gate_factors(table: Sequence[tuple[_Side, _Side]]) -> list[GroupRingElement]:
+    """Per gate, the gate brace's factor of one argument: its signed
+    rotation words on both sides, merged."""
+    return [GroupRingElement.collect(start + end) for start, end in table]
+
+
+def _mu(fx, fy, fz) -> LoopCombination:
+    """mu(x, y, z) from the gate factors of x, y and z: at every gate, the
+    class projection of the product of the three factors."""
+    return LoopCombination.collect(
+        (canonical_conjugacy(w), c)
+        for dx, dy, dz in zip(fx, fy, fz)
+        for w, c in (dx * dy * dz).terms.items()
+    )
 
 
 def mu_total(qs: QuasiSurface, x, y, z) -> LoopCombination:
-    """Sum of the 3-braces of all gates; cyclically symmetric."""
+    """Sum of the 3-braces of all gates, ``sum_k p(D_k x D_k y D_k z)``
+    with ``D_k`` an argument's signed rotation words at gate k; cyclically
+    symmetric."""
+    return _mu(*(_gate_factors(_side_table(qs, a)) for a in (x, y, z)))
+
+
+def _jacobiator(qs: QuasiSurface, tx, ty, tz) -> LoopCombination:
+    """The Jacobiator from the side tables of x, y and z; each inner
+    bracket is realized once, for its own side table."""
+
+    def outer(ta, tb, tc):
+        inner = LoopCombination.collect(_bracket_terms(ta, tb))
+        return _bracket_terms(_side_table(qs, inner), tc)
+
     return LoopCombination.collect(
-        term for gate in qs.gates for term in gate_brace_geometric(qs, gate, [x, y, z])
+        itertools.chain(outer(tx, ty, tz), outer(ty, tz, tx), outer(tz, tx, ty))
     )
 
 
 def jacobiator(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] for the skew homotopy bracket."""
-    xy = second_bracket(qs, x, y)
-    yz = second_bracket(qs, y, z)
-    zx = second_bracket(qs, z, x)
-    return (
-        second_bracket(qs, xy, z)
-        + second_bracket(qs, yz, x)
-        + second_bracket(qs, zx, y)
-    )
+    return _jacobiator(qs, *(_side_table(qs, a) for a in (x, y, z)))
 
 
 @dataclass(frozen=True)
@@ -53,15 +78,17 @@ class QuasiJacobiReport:
 
 
 def verify_quasi_jacobi(qs: QuasiSurface, x, y, z) -> QuasiJacobiReport:
-    """Jacobiator of the 2-bracket against mu(x,y,z) - mu(y,x,z), exactly."""
-    lhs = jacobiator(qs, x, y, z)
-    rhs = mu_total(qs, x, y, z) - mu_total(qs, y, x, z)
-    return QuasiJacobiReport(lhs, rhs)
+    """Jacobiator of the 2-bracket against mu(x,y,z) - mu(y,x,z), exactly.
+    Both sides read one side table per argument."""
+    tx, ty, tz = (_side_table(qs, a) for a in (x, y, z))
+    fx, fy, fz = (_gate_factors(t) for t in (tx, ty, tz))
+    return QuasiJacobiReport(_jacobiator(qs, tx, ty, tz), _mu(fx, fy, fz) - _mu(fy, fx, fz))
 
 
 def s_bracket(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """The fully symmetric 3-bracket 2*mu - Jacobiator."""
-    return 2 * mu_total(qs, x, y, z) - jacobiator(qs, x, y, z)
+    tx, ty, tz = (_side_table(qs, a) for a in (x, y, z))
+    return 2 * _mu(*(_gate_factors(t) for t in (tx, ty, tz))) - _jacobiator(qs, tx, ty, tz)
 
 
 @dataclass(frozen=True)

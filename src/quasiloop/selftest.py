@@ -366,9 +366,17 @@ def suite_symmetries(seed: int = 0, cases: int = 500) -> SuiteResult:
         x = random_class(rng, qs.rank, max_len=8)
         y = random_class(rng, qs.rank, max_len=8)
         z = random_class(rng, qs.rank, max_len=6)
-        if second_bracket(qs, x, y) != -second_bracket(qs, y, x):
+        bracket = second_bracket(qs, x, y)
+        if bracket != -second_bracket(qs, y, x):
             result.record(f"case {i}: bracket not skew for x={x!r} y={y!r}")
-        if bullet(qs, omega, x, y) != -bullet(qs, opposite(omega), y, x):
+        # the bracket's opposite-side route is skew by construction; the
+        # pairing minus its transpose is its independent second route
+        pairing = bullet(qs, omega, x, y)
+        if bracket != pairing - bullet(qs, omega, y, x):
+            result.record(
+                f"case {i}: bracket is not the pairing minus its transpose for x={x!r} y={y!r}"
+            )
+        if pairing != -bullet(qs, opposite(omega), y, x):
             result.record(f"case {i}: reversal law fails for x={x!r} y={y!r}")
         gate = rng.choice(qs.gates)
         if gate_brace_geometric(qs, gate, [x, y, z]) != gate_brace_geometric(qs, gate, [z, x, y]):

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from .homotopy import kk_pairing
 from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
-from .words import ConjClass, Word
+from .words import ConjClass, Word, _token_number
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -179,9 +179,10 @@ class RepresentationPoint:
             raw: Mapping[str, list] = data["images"]
             images: list = [None] * len(raw)
             for token, rows in raw.items():
-                if not token.startswith("g") or not token[1:].isdigit():
+                number = _token_number(token)
+                if number is None:
                     raise ValueError(f"bad generator token {token!r}")
-                idx = int(token[1:]) - 1
+                idx = number - 1
                 if not 0 <= idx < len(raw):
                     raise ValueError(f"generator token {token!r} out of range")
                 images[idx] = rows

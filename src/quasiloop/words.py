@@ -255,6 +255,16 @@ def format_word(w: Word) -> str:
     return " ".join(f"g{g + 1}" if s > 0 else f"g{g + 1}^-1" for g, s in w.letters)
 
 
+def _token_number(token: str) -> "int | None":
+    """The number n of a generator token ``g<n>`` written in ASCII digits
+    (``isdigit`` alone also takes other scripts' digits and superscripts),
+    or None for any other token."""
+    digits = token[1:]
+    if token.startswith("g") and digits.isascii() and digits.isdigit():
+        return int(digits)
+    return None
+
+
 def parse_word(text: str, rank: int | None = None) -> Word:
     letters: list[Letter] = []
     stripped = text.strip()
@@ -265,9 +275,10 @@ def parse_word(text: str, rank: int | None = None) -> Word:
         if token.endswith("^-1"):
             sign = -1
             token = token[:-3]
-        if not token.startswith("g") or not token[1:].isdigit():
+        number = _token_number(token)
+        if number is None:
             raise ValueError(f"bad word token {token!r}")
-        g = int(token[1:]) - 1
+        g = number - 1
         if g < 0 or (rank is not None and g >= rank):
             raise ValueError(f"unknown generator token {token!r}")
         letters.append((g, sign))

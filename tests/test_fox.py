@@ -163,7 +163,7 @@ def test_aug_derivation_induces_delta_on_classes(w):
     assert project_to_classes(_aug_derivation(d1, w)) == project_to_classes(d1.delta_word(w))
 
 
-@pytest.mark.parametrize("token", ["g1^-1", "g1 g2", "1", "g0", "x1", "g", ""])
+@pytest.mark.parametrize("token", ["g1^-1", "g1 g2", "1", "g0", "x1", "g", "", "g\u0661", "g\u00b2"])
 def test_from_json_dict_rejects_bad_generator_tokens(token):
     with pytest.raises(ValueError, match="bad generator token"):
         FoxDerivative.from_json_dict({token: [[1, ""]], "g2": []})

@@ -142,6 +142,64 @@ def test_second_bracket_omega_free(qg1):
     assert len(values) == 1
 
 
+def test_second_bracket_equals_difference_of_pairings():
+    # the opposite-side route against the pairing minus its transpose at a
+    # random orientation, on classes, rotated and depth-permuted lane
+    # diagrams, and combinations holding a bracket value
+    from quasiloop.diagrams import diagram_from_cyclic_path
+    from quasiloop.selftest import _permute_depths
+
+    rng = random.Random(71)
+    nonzero = 0
+    for _ in range(200):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        omega = random_omega(rng, qs)
+        x, y, z = (random_class(rng, qs.rank, max_len=7) for _ in range(3))
+        path = qs.cyclic_edge_path(x)
+        r = rng.randrange(len(path)) if path else 0
+        rotated = diagram_from_cyclic_path(qs, path[r:] + path[:r])
+        px, py = _permute_depths(rng, combine_generic(qs, [rotated, y]).diagrams())
+        combo = second_bracket(qs, y, z) - 2 * LoopCombination.from_class(x)
+        for a, b in ((x, y), (rotated, y), (px, py), (combo, z), (y, combo), (px, combo)):
+            expected = bullet(qs, omega, a, b) - bullet(qs, omega, b, a)
+            assert second_bracket(qs, a, b, omega) == expected
+            assert second_bracket(qs, a, b) == expected
+            nonzero += bool(expected)
+    assert nonzero >= 400
+
+
+def test_mu_total_equals_gate_braces_and_fox_route():
+    # mu read from side tables against the one-gate braces summed over the
+    # gates and against the Fox route; verify_quasi_jacobi and s_bracket,
+    # which share the tables, against the public operations
+    from quasiloop.quasilie import jacobiator, mu_total, s_bracket, verify_quasi_jacobi
+
+    rng = random.Random(72)
+    nonzero = 0
+    for _ in range(60):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        x, y, z = (random_class(rng, qs.rank, max_len=6) for _ in range(3))
+        combo = second_bracket(qs, x, y) - LoopCombination.from_class(z)
+        for args in ([x, y, z], [combo, y, z], [z, x, combo]):
+            value = mu_total(qs, *args)
+            assert value == LoopCombination.collect(
+                term for gate in qs.gates for term in gate_brace_geometric(qs, gate, args)
+            )
+            combos = [a if isinstance(a, LoopCombination) else LoopCombination.from_class(a)
+                      for a in args]
+            assert value == LoopCombination.collect(
+                term
+                for gate in qs.gates
+                for term in algebraic_brace([qs.gate_derivative(gate)] * 3, combos)
+            )
+            nonzero += bool(value)
+        report = verify_quasi_jacobi(qs, x, y, z)
+        assert report.lhs == jacobiator(qs, x, y, z)
+        assert report.rhs == mu_total(qs, x, y, z) - mu_total(qs, y, x, z)
+        assert s_bracket(qs, x, y, z) == 2 * mu_total(qs, x, y, z) - report.lhs
+    assert nonzero >= 50
+
+
 def test_kk_pairing_example(qt2):
     z = qt2.parse_loop("g1 g2^-1")
     zw = z.representative()

@@ -57,6 +57,13 @@ def test_singular_image_rejected():
             RepresentationPoint.create(len(image), [image])
 
 
+@pytest.mark.parametrize("token", ["g\u0661", "g\u00b2", "h1"])
+def test_from_json_dict_rejects_bad_generator_tokens(token):
+    # "g\u0661" (an Arabic-Indic one) was once read as g1
+    with pytest.raises(ValueError, match="^bad generator token "):
+        RepresentationPoint.from_json_dict({"n": 1, "images": {token: [[2]]}})
+
+
 def test_create_rejects_inexact_input():
     # the library route checks what the JSON route checks: a float would be
     # read as its binary value, and a bool as 0 or 1

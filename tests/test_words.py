@@ -124,6 +124,15 @@ def test_parse_rejects_bad_tokens():
         parse_word("g2", rank=1)
 
 
+@pytest.mark.parametrize("text", ["g\u0661 g2", "g\u00b2", "g\uff11", "g1 g\u0662^-1"],
+                         ids=["arabic_indic_one", "superscript_two", "fullwidth_one", "inverse"])
+def test_parse_takes_only_ascii_digits(text):
+    # str.isdigit also takes other scripts' digits: "g\u0661 g2" was once read
+    # as g1 g2, and "g\u00b2" failed inside int() with another message
+    with pytest.raises(ValueError, match="^bad word token "):
+        parse_word(text)
+
+
 def test_class_equality_is_conjugacy_not_inversion():
     w = W((0, 1), (1, -1))
     assert canonical_conjugacy(w) != canonical_conjugacy(~w)
