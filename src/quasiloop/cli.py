@@ -20,7 +20,7 @@ from .fixtures import FIXTURE_NAMES, fixture_spec
 from .homotopy import bullet, gate_brace_geometric, second_bracket
 from .selftest import ACCEPTANCE_COUNTS, ALL_SUITES, DEFAULT_COUNTS
 from .surface import QuasiSurface, build, load_spec
-from .traceeval import load_representation
+from .traceeval import RepresentationPoint, load_representation
 from .words import ConjClass
 
 
@@ -91,7 +91,7 @@ def cmd_operation(args) -> int:
     payload.update((name, getattr(args, name)) for name in slots)
     if takes_omega:
         payload["omega"] = _omega_text(omega)
-    _maybe_trace(args, payload, value)
+    _maybe_trace(args, qs, payload, value)
     return _emit(args, payload)
 
 
@@ -108,7 +108,7 @@ def cmd_brace(args) -> int:
         "loops": [getattr(args, n) for n in ("x", "y", "z") if getattr(args, n, None) is not None],
         "value": qs.format_combination(value),
     }
-    _maybe_trace(args, payload, value)
+    _maybe_trace(args, qs, payload, value)
     return _emit(args, payload)
 
 
@@ -160,11 +160,7 @@ def cmd_diagnostics(args) -> int:
 
 def cmd_trace_eval(args) -> int:
     qs = _load_surface(args.spec)
-    rho = load_representation(args.rep)
-    if rho.rank != qs.rank:
-        raise ValueError(
-            f"representation has {rho.rank} generator images, surface rank is {qs.rank}"
-        )
+    rho = _load_rep(qs, args.rep)
     loop = _parse_loop(qs, args.expr)
     if isinstance(loop, LaneDiagram):
         loop = diagram_to_word(qs, loop)
@@ -178,11 +174,21 @@ def cmd_trace_eval(args) -> int:
     return _emit(args, payload)
 
 
-def _maybe_trace(args, payload: dict, value) -> None:
+def _load_rep(qs: QuasiSurface, path: str) -> RepresentationPoint:
+    """A representation point read from a file, with one image per free
+    generator of the surface."""
+    rho = load_representation(path)
+    if rho.rank != qs.rank:
+        raise ValueError(
+            f"representation has {rho.rank} generator images, surface rank is {qs.rank}"
+        )
+    return rho
+
+
+def _maybe_trace(args, qs: QuasiSurface, payload: dict, value) -> None:
     rep = getattr(args, "rep", None)
     if rep:
-        rho = load_representation(rep)
-        payload["trace"] = str(rho.eval_trace(value))
+        payload["trace"] = str(_load_rep(qs, rep).eval_trace(value))
 
 
 def cmd_selftest(args) -> int:

@@ -179,16 +179,24 @@ class _RArc:
     entry_pos: int
     exit_pos: int
 
+    def start_side(self, entry: bool) -> bool:
+        """Whether the arc's entry (or exit) crossing lies on the start
+        side of its gate, the lane starting there counterclockwise, which a
+        forward arc enters and a reversed arc leaves; otherwise it lies on
+        the end side, the lane ending there.  Every pair form reads a
+        crossing's side from here."""
+        return entry != self.reverse
+
 
 @dataclass
 class _RLoop:
     """A realized loop.  Its letter codes are collapsed and its gate endpoints
     listed once, and its rotation words are cached on it, so a loop
-    realized once per operation serves every family of that operation."""
+    realized once per operation serves every side table and family of
+    that operation."""
 
     edge_path: EdgePath  # detours included; positions below index into it
     arcs: list[_RArc]
-    cyclic: bool
     codes: Codes  # the letter codes of edge_path, unreduced
     before: list[int]  # before[i]: the number of codes in edge_path[:i]
     crossings: list[list[tuple[int, bool]]]  # crossings[k]: (arc, entry) at gate k
@@ -207,6 +215,12 @@ class _RLoop:
         if word is None:
             word = self.rotations[k] = _word(_reduce(self.codes[k:] + self.codes[:k]))
         return word
+
+    def split(self, cut: int) -> tuple[Word, Word]:
+        """The words before and after edge position ``cut``: where a based
+        loop is spliced open at a gate crossing."""
+        k = self.before[cut]
+        return _word(_reduce(self.codes[:k])), _word(_reduce(self.codes[k:]))
 
     def diagram(self, depths: "Sequence[int] | None" = None) -> LaneDiagram:
         """The loop as a lane diagram, at its own depths or the given ones."""
@@ -284,7 +298,7 @@ def _walk(qs: QuasiSurface, path: EdgePath, cyclic: bool) -> _RLoop:
         assert d > 0 and gate_out is not None and d2 < 0, "a reduced path enters a disk before leaving it"
         _append_passage(qs, steps, arcs, depth_counter, gate_in, gate_out)
         i += 2
-    return _rloop(qs, steps, arcs, cyclic)
+    return _rloop(qs, steps, arcs)
 
 
 def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
@@ -300,29 +314,30 @@ def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
         arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, entry_pos, entry_pos + 1))
     if not d.arcs and d.paths:
         steps.extend(d.paths[0])
-    return _rloop(qs, steps, arcs, True)
+    return _rloop(qs, steps, arcs)
 
 
-def _rloop(qs: QuasiSurface, steps: list[EdgeStep], arcs: list[_RArc], cyclic: bool) -> _RLoop:
+def _rloop(qs: QuasiSurface, steps: list[EdgeStep], arcs: list[_RArc]) -> _RLoop:
     """The realized loop of a walk: its letter codes collapsed, and each arc's
     entry and exit listed at their gates."""
     crossings: list[list[tuple[int, bool]]] = [[] for _ in qs.gates]
     for i, arc in enumerate(arcs):
         crossings[qs.edges[steps[arc.entry_pos][0]].gate].append((i, True))
         crossings[qs.edges[steps[arc.exit_pos][0]].gate].append((i, False))
-    return _RLoop(tuple(steps), arcs, cyclic, *qs.collapse(steps), crossings)
+    return _RLoop(tuple(steps), arcs, *qs.collapse(steps), crossings)
 
 
 def realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
-    """A based loop realized for :class:`GenericFamily`."""
+    """A based loop realized from its word's edge path, read from the
+    basepoint: :meth:`_RLoop.split` cuts it open at a gate crossing."""
     return _walk(qs, qs.edge_path_of_word(w), cyclic=False)
 
 
 def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoop:
-    """One circular loop realized for :class:`GenericFamily`: a class from
-    its canonical cyclic edge path, a lane diagram given from outside
-    verbatim once validated.  Realize each loop of an operation once and
-    pass it to every family that uses it."""
+    """One circular loop realized: a class from its canonical cyclic edge
+    path, a lane diagram given from outside verbatim once validated.
+    Realize each loop of an operation once and read every side table or
+    family of the operation from it."""
     if isinstance(x, LaneDiagram):
         validate_diagram(qs, x)
         return _realize_cyclic(qs, x)
@@ -420,9 +435,14 @@ class GenericFamily:
     family reports compares the places :meth:`_place` gives.  Nothing is
     built per family, and one realized loop can serve many families.
 
-    With ``normalize=False`` the given depths are taken verbatim (they
-    must already be pairwise distinct per lane); this is how explicitly
-    pre-combined families enter the forms."""
+    The pair forms of generic loops do not need a family: at each gate
+    every crossing of loop 0 sits on one side of every crossing of loop 1,
+    so their pair set is a product of sides, read from side tables.  A
+    family serves :func:`combine_generic` (lane diagrams in generic
+    position) and, with ``normalize=False``, explicitly pre-combined
+    families: their depths are taken verbatim (they must already be
+    pairwise distinct per lane), so their pair set need not be a
+    product."""
 
     def __init__(self, qs: QuasiSurface, loops: Sequence[_RLoop], normalize: bool = True):
         self.qs = qs
@@ -446,10 +466,10 @@ class GenericFamily:
     def _place(self, loop: int, arc: _RArc, entry: bool) -> tuple[int, int, int]:
         """A crossing's place along its gate, counterclockwise: the lane
         ending there by increasing depth, then the lane starting there
-        (``entry != reverse``) by decreasing depth.  The depth compared is
+        (:meth:`_RArc.start_side`) by decreasing depth.  The depth compared is
         (argument index, own depth), or the own depth with ``normalize=False``."""
         rank = loop if self.normalize else 0
-        if entry != arc.reverse:
+        if arc.start_side(entry):
             return (1, -rank, -arc.depth)
         return (0, rank, arc.depth)
 
@@ -467,10 +487,11 @@ class GenericFamily:
         return tuple(ref for _, ref in sorted(placed, key=lambda c: c[0]))
 
     def crossing_pairs(self, omega: Sequence[int]) -> Iterator[tuple[CrossingRef, CrossingRef, int]]:
-        """The ordered crossing pairs of loops 0 and 1 that every pair form
-        is built from: at each gate, each crossing ``p`` of loop 0 with each
-        crossing ``q`` of loop 1 that comes before ``p`` along the gate
-        ordered by ``omega``, and the coefficient ``omega[k] * p.sign * q.sign``."""
+        """The ordered crossing pairs of loops 0 and 1 that the pair forms
+        of an explicit family are built from: at each gate, each crossing
+        ``p`` of loop 0 with each crossing ``q`` of loop 1 that comes
+        before ``p`` along the gate ordered by ``omega``, and the
+        coefficient ``omega[k] * p.sign * q.sign``."""
         for k in range(len(self.qs.gates)):
             direction, mine = omega[k], self._at_gate(0, k)
             theirs = self._at_gate(1, k) if mine else ()
@@ -497,8 +518,6 @@ class GenericFamily:
         """The loop reparametrized to start on the gate: at its entry
         letter for a +1 crossing, right after its exit letter for a -1."""
         rl = self.loops[ref.loop]
-        if not rl.cyclic:
-            raise ValueError("rotation words are only defined for circular loops")
         return rl.rotation(rl.cut(ref.arc, ref.entry))
 
     def exit_rotation_word(self, loop: int, arc_idx: int) -> Word:
@@ -506,15 +525,6 @@ class GenericFamily:
         grafting word of a declared surface crossing on that arc."""
         rl = self.loops[loop]
         return rl.rotation(rl.arcs[arc_idx].exit_pos)
-
-    def splice_words(self, ref: CrossingRef) -> tuple[Word, Word]:
-        """(prefix, suffix) of a based loop cut at a crossing: before the
-        entry letter for a +1 crossing, after the exit letter for a -1."""
-        rl = self.loops[ref.loop]
-        if rl.cyclic:
-            raise ValueError("splice words are only defined for based loops")
-        k = rl.before[rl.cut(ref.arc, ref.entry)]
-        return _word(_reduce(rl.codes[:k])), _word(_reduce(rl.codes[k:]))
 
 
 def combine_generic(

@@ -4,7 +4,11 @@ H1 is the abelianized fundamental group, with the free generators of the
 presentation as basis.  The oriented form counts, for a pair of loops in
 generic position, the signed crossings forced near the gates by a gate
 orientation (plus any declared surface crossings); it depends only on the
-homology classes.  Antisymmetrizing removes the orientation dependence.
+homology classes.  It is read from each loop's signed crossing counts per
+gate and side (start: the lane starting at the gate counterclockwise;
+end: the lane ending there), as the homotopy forms read their side
+tables.  Antisymmetrizing keeps only opposite-side pairs, which removes
+the orientation dependence.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ from typing import Sequence
 
 from .diagrams import (
     ExplicitDiagram,
-    GenericFamily,
     LaneDiagram,
-    combine_generic,
     diagram_to_word,
     explicit_pair,
     parse_omega,
@@ -42,6 +44,17 @@ def gate_dual(qs: QuasiSurface, gate: str, x: H1Class) -> int:
     return sum(coeff * matrix[i][k] for i, coeff in enumerate(x))
 
 
+def _side_counts(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> list[list[int]]:
+    """Per gate, ``[E_k, S_k]``: the signed counts of a loop's end- and
+    start-side crossings, the coefficient sums of its side table."""
+    rl = realize_loop(qs, x)
+    counts = [[0, 0] for _ in rl.crossings]
+    for sides, crossings in zip(counts, rl.crossings):
+        for arc, entry in crossings:
+            sides[rl.arcs[arc].start_side(entry)] += 1 if entry else -1
+    return counts
+
+
 def first_form(
     qs: QuasiSurface,
     omega: "str | Sequence[int] | None",
@@ -50,32 +63,37 @@ def first_form(
 ) -> int:
     """The oriented crossing number of a pair of loops.
 
-    Accepts two loops (combined generically here) or a single
-    two-loop :class:`ExplicitDiagram`, whose declared crossings then
-    contribute their signs on top of the gate terms.
+    Accepts two loops in generic position, where at gate k all of b's
+    crossings come before a's start side (+1) or end side (-1) in the
+    gate's orientation and before none of a's other side, so the count
+    is ``sum_k omega_k C^omega_k(a) v_k(b)`` from the side counts; or a
+    single two-loop :class:`ExplicitDiagram`, counted pair by pair, whose
+    declared crossings then contribute their signs on top of the gate
+    terms.
     """
     signs = parse_omega(qs, omega)
-    declared: list = []
     if isinstance(a, ExplicitDiagram):
         fam, declared = explicit_pair(qs, a, b)
-    else:
-        if b is None:
-            raise ValueError("first_form needs two loops")
-        fam = combine_generic(qs, [a, b])
-    return sum(s for _, _, s in declared) + sum(c for _, _, c in fam.crossing_pairs(signs))
+        return sum(s for _, _, s in declared) + sum(c for _, _, c in fam.crossing_pairs(signs))
+    if b is None:
+        raise ValueError("first_form needs two loops")
+    return sum(
+        w * (sa if w > 0 else ea) * (eb + sb)
+        for w, (ea, sa), (eb, sb) in zip(signs, _side_counts(qs, a), _side_counts(qs, b))
+    )
 
 
 def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:
-    """Gram matrix of the orientation-independent pairing on the generator basis."""
-    signs = parse_omega(qs, omega)
-    loops = [realize_loop(qs, Word.generator(i)) for i in range(qs.rank)]
-    raw = [
-        [sum(c for _, _, c in GenericFamily(qs, [x, y]).crossing_pairs(signs)) for y in loops]
-        for x in loops
-    ]
+    """Gram matrix of the orientation-independent pairing on the generator
+    basis: ``first_form(omega; x, y) - first_form(omega; y, x)``, in which
+    only the opposite-side pairs survive, ``sum_k S_k(x) E_k(y) - S_k(y) E_k(x)``.
+    Each generator is realized once; ``omega`` is validated and otherwise
+    unused."""
+    parse_omega(qs, omega)
+    counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
     return [
-        [raw[i][j] - raw[j][i] for j in range(qs.rank)]
-        for i in range(qs.rank)
+        [sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts]
+        for cx in counts
     ]
 
 

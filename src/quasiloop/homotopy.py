@@ -1,27 +1,31 @@
 """Homotopy intersection forms and geometric gate braces.
 
 All operations return exact integer combinations of conjugacy classes.
-The oriented pairing grafts the two loops at every crossing forced near a
-gate (and at every declared surface crossing), with the loop words
-rotated to the crossing.  The skew bracket, the pairing minus its
-transpose, keeps only the grafts of crossings on opposite sides of a
-gate: a pair of crossings on the same side is grafted once in each
-pairing, to the same class with the same coefficient, and cancels.  It
-therefore needs no orientation, and it reads each argument's side table,
-the signed rotation words of its crossings per gate and side.  The gate
-braces multiply one rotation per loop over all crossing tuples of a
-single gate; they agree with the algebraic braces built from the gate's
-Fox derivative, which is the engine's standing cross-check.
+Each argument is read through its side table: per gate, the signed
+rotation words of its crossings on the start side (the lane starting at
+the gate counterclockwise) and on the end side.  The oriented pairing
+grafts x onto y at every crossing q of y met before a crossing p of x
+along a gate in the gate's orientation: every crossing of y comes before
+each of x's crossings on one side (start for +1, end for -1) and before
+none on the other, so the pair set is that side of x times all of y.
+The based pairing splices the same side of x into the based loop at each
+of its crossings.  The skew bracket, the pairing minus its transpose,
+keeps only the grafts of crossings on opposite sides of a gate: a pair
+of crossings on the same side is grafted once in each pairing, to the
+same class with the same coefficient, and cancels, so it needs no
+orientation.  An explicit family (declared surface crossings, verbatim
+depths) is paired crossing by crossing instead.  The gate braces
+multiply one rotation per loop over all crossing tuples of a single
+gate; they agree with the algebraic braces built from the gate's Fox
+derivative, which is the engine's standing cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
 from .diagrams import (
     ExplicitDiagram,
-    GenericFamily,
     LaneDiagram,
     _RLoop,
     explicit_pair,
@@ -53,14 +57,13 @@ _Side = list[tuple[Word, int]]
 def _side_table(qs: QuasiSurface, x) -> list[tuple[_Side, _Side]]:
     """An argument's crossings, per gate, as ``(start, end)``: the rotation
     word and coeff · sign of each crossing on the lane starting at the gate
-    counterclockwise (``entry != arc.reverse``, the side rule of
-    ``GenericFamily._place``) and of each crossing on the lane ending
-    there, over the argument's terms, each term realized once."""
+    counterclockwise (``_RArc.start_side``) and of each crossing on the
+    lane ending there, over the argument's terms, each term realized once."""
     table: list[tuple[_Side, _Side]] = [([], []) for _ in qs.gates]
     for rl, c in _loop_terms(qs, x):
         for (start, end), crossings in zip(table, rl.crossings):
             for arc, entry in crossings:
-                side = start if entry != rl.arcs[arc].reverse else end
+                side = start if rl.arcs[arc].start_side(entry) else end
                 side.append((rl.rotation(rl.cut(arc, entry)), c if entry else -c))
     return table
 
@@ -103,16 +106,6 @@ def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCo
     return project_to_classes(product)
 
 
-def _bullet_terms(
-    fam: GenericFamily, omega: Sequence[int], declared: Sequence[tuple[int, int, int]] = ()
-) -> Iterator[tuple[ConjClass, int]]:
-    for p, q, coeff in fam.crossing_pairs(omega):
-        yield canonical_conjugacy(fam.rotation_word(p) * fam.rotation_word(q)), coeff
-    for arc_0, arc_1, s in declared:
-        word = fam.exit_rotation_word(0, arc_0) * fam.exit_rotation_word(1, arc_1)
-        yield canonical_conjugacy(word), s
-
-
 def bullet(
     qs: QuasiSurface,
     omega: "str | Sequence[int] | None",
@@ -120,7 +113,8 @@ def bullet(
     y=None,
 ) -> LoopCombination:
     """The oriented homotopy pairing: the algebraic sum of all grafts of
-    the first loop onto the second at gate-forced and declared crossings.
+    the first loop onto the second at gate-forced and declared crossings,
+    ``sum_k omega_k p(A^omega_k(x) (A+_k(y) + A-_k(y)))`` for generic loops.
 
     Accepts conjugacy classes, lane diagrams, loop combinations (extended
     bilinearly), or a single two-loop :class:`ExplicitDiagram`.
@@ -128,13 +122,22 @@ def bullet(
     signs = parse_omega(qs, omega)
     if isinstance(x, ExplicitDiagram):
         fam, declared = explicit_pair(qs, x, y)
-        return LoopCombination.collect(_bullet_terms(fam, signs, declared))
+        grafts = [
+            (fam.rotation_word(p), fam.rotation_word(q), c) for p, q, c in fam.crossing_pairs(signs)
+        ]
+        grafts += [
+            (fam.exit_rotation_word(0, i), fam.exit_rotation_word(1, j), s) for i, j, s in declared
+        ]
+        return LoopCombination.collect((canonical_conjugacy(a * b), c) for a, b, c in grafts)
     if y is None:
         raise ValueError("bullet needs two loops")
+    # at each gate, x's start side (omega_k = +1) or end side (-1) with all of y
+    both_y = [start + end for start, end in _side_table(qs, y)]
     return LoopCombination.collect(
-        (key, cx * cy * c)
-        for (rx, cx), (ry, cy) in itertools.product(_loop_terms(qs, x), _loop_terms(qs, y))
-        for key, c in _bullet_terms(GenericFamily(qs, [rx, ry]), signs)
+        (canonical_conjugacy(a * b), w * ca * cb)
+        for w, (start, end), y_k in zip(signs, _side_table(qs, x), both_y)
+        for a, ca in (start if w > 0 else end)
+        for b, cb in y_k
     )
 
 
@@ -159,15 +162,18 @@ def kk_pairing(
 ) -> GroupRingElement:
     """The based refinement of the oriented pairing: grafting a circular
     loop into a based loop returns a group-ring element, a derivation of
-    the group algebra in the based slot."""
+    the group algebra in the based slot.  At gate k, x's side
+    ``A^omega_k(x)`` is spliced into the based loop at each of its
+    crossings there."""
     signs = parse_omega(qs, omega)
     based = realize_based(qs, y)
 
     def terms() -> Iterator[tuple[Word, int]]:
-        for rx, cx in _loop_terms(qs, x):
-            fam = GenericFamily(qs, [rx, based])
-            for p, q, coeff in fam.crossing_pairs(signs):
-                prefix, suffix = fam.splice_words(q)
-                yield prefix * fam.rotation_word(p) * suffix, cx * coeff
+        for w, (start, end), crossings in zip(signs, _side_table(qs, x), based.crossings):
+            side = start if w > 0 else end
+            for arc, entry in crossings if side else ():
+                prefix, suffix = based.split(based.cut(arc, entry))
+                for a, c in side:
+                    yield prefix * a * suffix, (w if entry else -w) * c
 
     return GroupRingElement.collect(terms())

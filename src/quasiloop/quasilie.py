@@ -116,29 +116,15 @@ def p_and_u_diagnostics(
     signs = parse_omega(qs, omega)
     bar = opposite(signs)
 
-    def mul(sgns, a, b):
+    def mul(a, b, sgns=signs):
         return bullet(qs, sgns, a, b)
 
-    def u(sgns, a, b, c):
-        return (
-            mul(sgns, mul(sgns, a, b), c)
-            + mul(sgns, mul(sgns, b, c), a)
-            + mul(sgns, mul(sgns, c, a), b)
-        )
-
-    def p(a, b, c):
-        return (
-            mul(signs, mul(signs, a, b), c)
-            + mul(signs, mul(signs, b, c), a)
-            + mul(signs, mul(signs, c, a), b)
-            + mul(signs, c, mul(signs, b, a))
-            + mul(signs, a, mul(signs, c, b))
-            + mul(signs, b, mul(signs, a, c))
-        )
-
-    p_xyz = p(x, y, z)
-    u_omega = u(signs, x, y, z)
-    u_bar = u(bar, x, y, z)
+    # the six inner products, each formed once for P(x,y,z) and P(y,x,z)
+    xy, yz, zx, yx, zy, xz = mul(x, y), mul(y, z), mul(z, x), mul(y, x), mul(z, y), mul(x, z)
+    u_omega = mul(xy, z) + mul(yz, x) + mul(zx, y)
+    p_xyz = u_omega + mul(z, yx) + mul(x, zy) + mul(y, xz)
+    p_yxz = mul(yx, z) + mul(xz, y) + mul(zy, x) + mul(z, xy) + mul(y, zx) + mul(x, yz)
+    u_bar = mul(mul(x, y, bar), z, bar) + mul(mul(y, z, bar), x, bar) + mul(mul(z, x, bar), y, bar)
     jac = jacobiator(qs, x, y, z)
     return PandUDiagnostics(
         p_xyz=p_xyz,
@@ -146,7 +132,7 @@ def p_and_u_diagnostics(
         u_omega_bar=u_bar,
         jacobiator=jac,
         p_decomposes=(p_xyz == u_omega + u_bar),
-        jacobiator_matches=(jac == p_xyz - p(y, x, z)),
+        jacobiator_matches=(jac == p_xyz - p_yxz),
     )
 
 

@@ -218,6 +218,37 @@ def test_bracket_with_trace(capsys, tmp_path):
     assert json.loads(out)["trace"] == "9"
 
 
+@pytest.mark.parametrize(
+    "images",
+    [
+        {"g1": [["3"]], "g2": [["2"]], "g3": [["5"]]},  # one image too many
+        {"g1": [["3"]]},  # one too few; mu's value is zero, so no image is missing
+    ],
+)
+def test_rep_of_wrong_rank_rejected(capsys, tmp_path, images):
+    # qg1 has rank 2; every command taking --rep rejects the point as
+    # trace-eval does, instead of evaluating the value's trace at it
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 1, "images": images}), encoding="utf-8")
+    x, y = ["--x", "g1 g3^-1"], ["--y", "g2 g4^-1"]
+    commands = [
+        ["bracket", *x, *y],
+        ["bullet", *x, "--y", "g1 g3^-1"],
+        ["mu", *x, *y, "--z", "g1 g3^-1"],
+        ["s", *x, *y, "--z", "g1 g3^-1"],
+        ["brace", "--gate", "g1", *x, *y],
+        ["trace-eval", "--expr", "g1 g3^-1"],
+    ]
+    for command in commands:
+        code, out, err = run(capsys, *command, "--spec", "fixture:qg1", "--rep", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            f"representation has {len(images)} generator images, surface rank is 2"
+        )
+
+
 def test_diagram_input(capsys, tmp_path):
     from quasiloop.diagrams import diagram_to_json, word_to_diagram
     from quasiloop.fixtures import qt2 as build_qt2

@@ -258,14 +258,12 @@ def test_rotation_words_equal_collapsed_rotated_paths():
                 assert fam.exit_rotation_word(ref.loop, ref.arc) == rotated_path_word(
                     qs, rl, arc.exit_pos
                 )
-        # the splice words of a based loop, against the collapsed halves
+        # a based loop split at each gate crossing, against the collapsed
+        # halves; kk_pairing's splices are checked in test_homotopy
         based = realize_based(qs, random_word(rng, qs.rank, max_len=8))
-        fam = GenericFamily(qs, [realize_loop(qs, x), based])
-        for gate in qs.gates:
-            for ref in (c for c in fam.gate_sequence(gate) if c.loop == 1):
-                arc = based.arcs[ref.arc]
-                cut = arc.entry_pos if ref.entry else arc.exit_pos + 1
-                assert fam.splice_words(ref) == (
+        for arc in based.arcs:
+            for cut in (arc.entry_pos, arc.exit_pos + 1):
+                assert based.split(cut) == (
                     qs.word_from_edge_path(based.edge_path[:cut]),
                     qs.word_from_edge_path(based.edge_path[cut:]),
                 )

@@ -5,19 +5,22 @@ import pytest
 
 from quasiloop.diagrams import (
     ExplicitDiagram,
+    GenericFamily,
     SurfaceCrossing,
     all_orientations,
     combine_generic,
     flip_gate,
     opposite,
     parse_omega,
+    realize_based,
+    realize_loop,
     word_to_diagram,
 )
 from quasiloop.fox import algebraic_brace
-from quasiloop.homology import first_form
+from quasiloop.homology import first_form, gram_matrix
 from quasiloop.homotopy import bullet, gate_brace_geometric, kk_pairing, second_bracket
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
-from quasiloop.ring import LoopCombination, project_to_classes
+from quasiloop.ring import GroupRingElement, LoopCombination, project_to_classes
 from quasiloop.words import Word, canonical_conjugacy
 
 
@@ -526,3 +529,83 @@ def test_realizing_once_per_call_matches_fresh_families():
         for gate in qs.gates:
             for args in ([x], [x, y], [y, x, y]):
                 assert gate_brace_geometric(qs, gate, args) == fresh_brace(qs, gate, args)
+
+
+def fresh_kk(qs, omega, x, u):
+    """Reference: a fresh family of each term of x with the based loop of
+    u, spliced at each crossing pair between the collapsed halves of the
+    based loop's edge path."""
+    based = realize_based(qs, u)
+    terms = []
+    for kx, cx in x.terms.items():
+        fam = GenericFamily(qs, [realize_loop(qs, kx), based])
+        for p, q, c in fam.crossing_pairs(omega):
+            arc = based.arcs[q.arc]
+            cut = arc.entry_pos if q.entry else arc.exit_pos + 1
+            prefix = qs.word_from_edge_path(based.edge_path[:cut])
+            suffix = qs.word_from_edge_path(based.edge_path[cut:])
+            terms.append((prefix * fresh_rotation(qs, fam, p) * suffix, cx * c))
+    return GroupRingElement.collect(terms)
+
+
+def pair_count(qs, omega, x, y):
+    """Reference: the coefficient sum of a fresh family's crossing pairs."""
+    fam = GenericFamily(qs, [realize_loop(qs, x), realize_loop(qs, y)])
+    return sum(c for _, _, c in fam.crossing_pairs(omega))
+
+
+def test_pair_forms_equal_crossing_pair_sums():
+    # kk_pairing, first_form and gram_matrix read side tables; each against
+    # the pair sum of a fresh family, at a random orientation, for class
+    # and combination arguments
+    rng = random.Random(73)
+    nonzero = {"kk": 0, "first": 0, "gram": 0}
+    for _ in range(150):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        omega = random_omega(rng, qs)
+        x, y = (random_class(rng, qs.rank, max_len=8) for _ in range(2))
+        u = random_word(rng, qs.rank, max_len=8)
+        combo = LoopCombination.collect([(x, 2), (y, -3)])
+        for a, terms in ((x, LoopCombination.from_class(x)), (combo, combo)):
+            expected = fresh_kk(qs, omega, terms, u)
+            assert kk_pairing(qs, omega, a, u) == expected
+            nonzero["kk"] += bool(expected)
+        expected = pair_count(qs, omega, x, y)
+        assert first_form(qs, omega, x, y) == expected
+        nonzero["first"] += bool(expected)
+        gens = [Word.generator(i) for i in range(qs.rank)]
+        raw = [[pair_count(qs, omega, a, b) for b in gens] for a in gens]
+        expected = [[raw[i][j] - raw[j][i] for j in range(qs.rank)] for i in range(qs.rank)]
+        assert gram_matrix(qs, omega) == expected
+        assert gram_matrix(qs) == expected
+        nonzero["gram"] += any(any(row) for row in expected)
+    # 178, 65 and 121 nonzero when written
+    assert nonzero["kk"] >= 120 and nonzero["first"] >= 40 and nonzero["gram"] >= 80
+
+
+def test_bullet_y_slot_fox_route():
+    # the pairing's second route: y's crossings at gate k are replaced by
+    # the gate's Fox companion, x *_omega y = sum_k omega_k
+    # p(A^omega_k(x) delta_k(y)); x's start side (+1) or end side (-1) is
+    # read off its realized arcs here, and y's sides are never classified
+    rng = random.Random(75)
+    nonzero = 0
+    for _ in range(300):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        omega = random_omega(rng, qs)
+        x, y = (random_class(rng, qs.rank, max_len=10) for _ in range(2))
+        rl = realize_loop(qs, x)
+        expected = LoopCombination.zero()
+        for k, gate in enumerate(qs.gates):
+            side = []
+            for arc, entry in rl.crossings[k]:
+                a = rl.arcs[arc]
+                if (entry != a.reverse) == (omega[k] > 0):
+                    cut = a.entry_pos if entry else a.exit_pos + 1
+                    word = qs.word_from_edge_path(rl.edge_path[cut:] + rl.edge_path[:cut])
+                    side.append((word, 1 if entry else -1))
+            delta = qs.gate_derivative(gate).delta(y)
+            expected = expected + omega[k] * project_to_classes(GroupRingElement.collect(side) * delta)
+        assert bullet(qs, omega, x, y) == expected
+        nonzero += bool(expected)
+    assert nonzero >= 120  # 163 of the 300 when written

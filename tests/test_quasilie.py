@@ -12,6 +12,7 @@ from quasiloop.quasilie import (
     s_bracket,
     verify_quasi_jacobi,
 )
+from quasiloop.homotopy import bullet
 from quasiloop.randomcase import random_class, random_omega, random_surface
 from quasiloop.ring import LoopCombination
 
@@ -112,6 +113,25 @@ def test_p_and_u_zero_inputs(qt2):
     diag = p_and_u_diagnostics(qt2, None, triv, triv, triv)
     assert diag.p_xyz.is_zero() and diag.u_omega.is_zero() and diag.u_omega_bar.is_zero()
     assert diag.p_decomposes and diag.jacobiator_matches
+
+
+def test_p_and_u_diagnostics_forms_each_pairing_once(qg1, monkeypatch):
+    # the README qg1 example: P(x,y,z) and P(y,x,z) share their six inner
+    # products, and u_omega is the first three outer terms of P(x,y,z), so
+    # the 36 pairings of the definitions hold 24 distinct ones
+    import quasiloop.quasilie as QL
+
+    calls = []
+
+    def counting_bullet(qs, omega, a, b):
+        calls.append((omega, a, b))
+        return bullet(qs, omega, a, b)
+
+    monkeypatch.setattr(QL, "bullet", counting_bullet)
+    x, y, z = (qg1.parse_loop(t) for t in ("g1 g3^-1", "g2 g4^-1", "g1 g4^-1 g2 g3^-1"))
+    diag = QL.p_and_u_diagnostics(qg1, None, x, y, z)
+    assert diag.p_decomposes and diag.jacobiator_matches
+    assert len(calls) == len(set(calls)) == 24
 
 
 def test_delta_tables():
