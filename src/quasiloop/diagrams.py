@@ -191,9 +191,10 @@ class _RArc:
 @dataclass
 class _RLoop:
     """A realized loop.  Its letter codes are collapsed and its gate endpoints
-    listed once, and its rotation words are cached on it, so a loop
-    realized once per operation serves every side table and family of
-    that operation."""
+    listed once, and its rotation words are cached on it, so the one
+    realization of a class on a surface (:func:`realize_loop`) serves every
+    side table and family that reads the class.  It is shared, so nothing
+    changes it after :func:`_rloop` builds it; ``rotations`` only caches."""
 
     edge_path: EdgePath  # detours included; positions below index into it
     arcs: list[_RArc]
@@ -336,15 +337,24 @@ def realize_based(qs: QuasiSurface, w: Word) -> _RLoop:
 def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoop:
     """One circular loop realized: a class from its canonical cyclic edge
     path, a lane diagram given from outside verbatim once validated.
-    Realize each loop of an operation once and read every side table or
-    family of the operation from it."""
+
+    A class is realized once per surface: its loop is memoized in
+    ``qs.realized`` under the class, and an equal class gets the same
+    loop.  The memo holds its keys weakly, so an entry lives only while a
+    caller holds that class object (a loop combination holds its terms).
+    The returned loop is shared and must not be changed.  A lane diagram
+    is validated and realized on every call and never memoized."""
     if isinstance(x, LaneDiagram):
         validate_diagram(qs, x)
         return _realize_cyclic(qs, x)
     if isinstance(x, Word):
         x = canonical_conjugacy(x)
     if isinstance(x, ConjClass):
-        return _walk(qs, qs.cyclic_edge_path(x), cyclic=True)
+        memo = qs.realized
+        rl = memo.get(x)
+        if rl is None:
+            rl = memo[x] = _walk(qs, qs.cyclic_edge_path(x), cyclic=True)
+        return rl
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop diagram")
 
 
@@ -352,7 +362,7 @@ def word_to_diagram(qs: QuasiSurface, c: ConjClass) -> LaneDiagram:
     """Lane normal form of a conjugacy class: its canonical cyclic edge path
     realized as in :func:`realize_loop`.  ``diagram_to_word`` inverts this
     exactly."""
-    return _walk(qs, qs.cyclic_edge_path(c), cyclic=True).diagram()
+    return realize_loop(qs, c).diagram()
 
 
 def diagram_from_cyclic_path(qs: QuasiSurface, path: EdgePath) -> LaneDiagram:

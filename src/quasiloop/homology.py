@@ -83,18 +83,25 @@ def first_form(
     )
 
 
+def _gram(qs: QuasiSurface) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix, computed once per surface and kept on it."""
+    if qs._gram is None:
+        counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
+        qs._gram = tuple(
+            tuple(sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts)
+            for cx in counts
+        )
+    return qs._gram
+
+
 def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:
     """Gram matrix of the orientation-independent pairing on the generator
     basis: ``first_form(omega; x, y) - first_form(omega; y, x)``, in which
     only the opposite-side pairs survive, ``sum_k S_k(x) E_k(y) - S_k(y) E_k(x)``.
-    Each generator is realized once; ``omega`` is validated and otherwise
-    unused."""
+    It is computed once per surface, each generator realized once; every
+    call returns fresh lists.  ``omega`` is validated and otherwise unused."""
     parse_omega(qs, omega)
-    counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
-    return [
-        [sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts]
-        for cx in counts
-    ]
+    return [list(row) for row in _gram(qs)]
 
 
 def second_form(qs: QuasiSurface, x, y) -> int:
@@ -103,7 +110,7 @@ def second_form(qs: QuasiSurface, x, y) -> int:
         x = h1_class(qs, x)
     if not isinstance(y, tuple):
         y = h1_class(qs, y)
-    gram = gram_matrix(qs)
+    gram = _gram(qs)
     return sum(
         x[i] * y[j] * gram[i][j] for i in range(qs.rank) for j in range(qs.rank)
     )

@@ -25,6 +25,7 @@ only used by the algebra layer.
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -128,7 +129,12 @@ class _Edge:
 class QuasiSurface:
     """A validated quasi-surface with its derived free presentation.
 
-    Immutable after :func:`build`; all methods are pure.
+    The presentation is immutable after :func:`build`, and every method
+    returns the same value for the same arguments.  Values derived from it
+    are memoized on the surface when first asked for and never changed
+    after: the realized loop of each class (``realized``, filled by
+    :func:`quasiloop.diagrams.realize_loop`), the gate crossing matrix and
+    the Gram matrix of :func:`quasiloop.homology.gram_matrix`.
     """
 
     def __init__(self, spec: QuasiSurfaceSpec):
@@ -136,6 +142,11 @@ class QuasiSurface:
         self._build_graph()
         self._build_tree()
         self._build_generators()
+        # weak keys: a realization lives while some caller holds the class
+        # object it was stored under, and dies with the surface
+        self.realized: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._crossing_matrix: "tuple[tuple[int, ...], ...] | None" = None
+        self._gram: "tuple[tuple[int, ...], ...] | None" = None
 
     # --- construction -------------------------------------------------
 
@@ -394,16 +405,19 @@ class QuasiSurface:
 
     def gate_crossing_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Signed gate-crossing counts of each generator: rows are
-        generators, columns gates; realizes the dual maps on homology."""
-        rows = []
-        for loop in self.generator_loops:
-            row = [0] * self.n_gates
-            for e, d in loop:
-                gate = self.edges[e].gate
-                if gate is not None:
-                    row[gate] += d
-            rows.append(tuple(row))
-        return tuple(rows)
+        generators, columns gates; realizes the dual maps on homology.
+        Computed once per surface."""
+        if self._crossing_matrix is None:
+            rows = []
+            for loop in self.generator_loops:
+                row = [0] * self.n_gates
+                for e, d in loop:
+                    gate = self.edges[e].gate
+                    if gate is not None:
+                        row[gate] += d
+                rows.append(tuple(row))
+            self._crossing_matrix = tuple(rows)
+        return self._crossing_matrix
 
     def summary(self) -> dict:
         return {

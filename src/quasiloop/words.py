@@ -199,7 +199,7 @@ class ConjClass:
     equal exactly when the underlying group elements are conjugate.
     """
 
-    __slots__ = ("word",)
+    __slots__ = ("word", "__weakref__")
 
     def __init__(self, word: Word):
         self.word = canonical_conjugacy(word).word

@@ -361,9 +361,8 @@ def test_bracket_omega_independent(capsys):
     assert outs[0] == [[2, "g1 g4^-1 g2 g3^-1"]]
 
 
-def test_cli_import_loads_only_stdlib_and_package():
-    # the runtime is stdlib only, and the CLI's import graph is what every
-    # one-shot call pays for
+def _modules_loaded_by_cli_import() -> list[str]:
+    """The modules a fresh interpreter loads for ``import quasiloop.cli``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
@@ -373,8 +372,32 @@ def test_cli_import_loads_only_stdlib_and_package():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     ).stdout.split()
     assert "quasiloop.cli" in out
+    return out
+
+
+def test_cli_import_loads_only_stdlib_and_package():
+    # the runtime is stdlib only, and the CLI's import graph is what every
+    # one-shot call pays for
+    out = _modules_loaded_by_cli_import()
     foreign = [
         m for m in out
         if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "quasiloop"
     ]
     assert foreign == []
+
+
+# What ``import quasiloop.cli`` loads from the standard library (CPython 3.11).
+# Every one-shot call pays for it; a module joins only with measured
+# ``setup_s`` pairs, and then this list grows with it.
+CLI_STDLIB_IMPORTS = {
+    "__future__", "_ast", "_decimal", "_json", "_opcode", "argparse", "ast", "copy",
+    "dataclasses", "decimal", "dis", "fractions", "gettext", "importlib.machinery",
+    "inspect", "json", "json.decoder", "json.encoder", "json.scanner", "linecache",
+    "numbers", "opcode", "token", "tokenize",
+}
+
+
+def test_cli_import_graph_is_pinned():
+    out = _modules_loaded_by_cli_import()
+    new = [m for m in out if m.split(".")[0] != "quasiloop" and m not in CLI_STDLIB_IMPORTS]
+    assert new == []

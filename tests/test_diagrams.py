@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import random
 
 import pytest
 
+from quasiloop import diagrams, fixtures
 from quasiloop.diagrams import (
     DiskArc,
     ExplicitDiagram,
@@ -19,7 +22,10 @@ from quasiloop.diagrams import (
     validate_diagram,
     word_to_diagram,
 )
+from quasiloop.homotopy import bullet, second_bracket
+from quasiloop.quasilie import jacobiator
 from quasiloop.randomcase import random_class, random_surface, random_word
+from quasiloop.surface import build
 from quasiloop.words import Word, canonical_conjugacy, format_word
 
 
@@ -425,3 +431,74 @@ def test_gate_order_equals_stored_reference():
         shared_lanes += bool(lanes[0] & lanes[1])
     # the argument index in the key only matters where two loops share a lane
     assert shared_lanes >= 50
+
+
+# --- the per-surface realization memo ----------------------------------
+
+
+def test_realization_memo_keys_by_class_per_surface():
+    # an equal but distinct class object, or a word of the class, gets the
+    # same realized loop; two surfaces built from one spec share no entry
+    rng = random.Random(131)
+    for _ in range(40):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        w = random_word(rng, qs.rank, max_len=10)
+        a, b = canonical_conjugacy(w), canonical_conjugacy(w)
+        assert a is not b and a == b
+        rl = realize_loop(qs, a)
+        assert realize_loop(qs, b) is rl
+        assert realize_loop(qs, w) is rl
+        other = build(qs.spec)
+        assert len(other.realized) == 0
+        rl_other = realize_loop(other, b)
+        assert rl_other is not rl and rl_other.codes == rl.codes
+        assert list(other.realized.values()) == [rl_other]
+        assert all(v is not rl_other for v in qs.realized.values())
+
+
+def test_lane_diagrams_are_never_memoized(monkeypatch):
+    # a lane diagram is validated and realized verbatim, depths included,
+    # on every call, even when its class is memoized
+    qs = fixtures.qt2()
+    z = qs.parse_loop("g1 g2^-1 g1 g2^-1")
+    d = word_to_diagram(qs, z)
+    assert [a.depth for a in d.arcs] == [1, 2]
+    swapped = LaneDiagram(tuple(dataclasses.replace(a, depth=3 - a.depth) for a in d.arcs), d.paths)
+    entries = len(qs.realized)
+    validated = []
+    real_validate = diagrams.validate_diagram
+
+    def counting_validate(surface, diagram):
+        validated.append(diagram)
+        real_validate(surface, diagram)
+
+    monkeypatch.setattr(diagrams, "validate_diagram", counting_validate)
+    first, second = realize_loop(qs, swapped), realize_loop(qs, swapped)
+    assert first is not second
+    assert [a.depth for a in first.arcs] == [a.depth for a in second.arcs] == [2, 1]
+    assert [a.depth for a in realize_loop(qs, z).arcs] == [1, 2]
+    assert validated == [swapped, swapped]
+    assert len(qs.realized) == entries
+    bad = LaneDiagram(d.arcs, d.paths[:1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="one connecting path per arc"):
+            realize_loop(qs, bad)
+    assert len(validated) == 4
+
+
+def test_realization_memo_dies_with_its_classes():
+    # the memo holds its classes weakly: once the caller drops them and the
+    # combinations holding them, it is empty, so a surface that lives for a
+    # whole run does not grow with the classes it has seen
+    rng = random.Random(137)
+    qs = fixtures.qg1()
+    held = []
+    for _ in range(10):
+        x, y, z = (random_class(rng, qs.rank, min_len=4, max_len=10) for _ in range(3))
+        inner = second_bracket(qs, x, y)
+        held.append((x, y, z, inner, bullet(qs, None, inner, z), jacobiator(qs, x, y, z)))
+    assert len(qs.realized) >= len({t for *_, inner, _, _ in held for t in inner.terms})
+    assert len(qs.realized) > 30
+    del held, x, y, z, inner
+    gc.collect()
+    assert len(qs.realized) == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quasiloop import diagrams
 from quasiloop.diagrams import flip_gate, opposite, parse_omega, word_to_diagram
 from quasiloop.homology import first_form, gate_dual, gram_matrix, h1_class, second_form
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
@@ -125,3 +126,33 @@ def test_rank_zero_gram():
     qs = build(spec)
     assert qs.rank == 0
     assert gram_matrix(qs) == []
+
+
+def test_gram_matrix_computed_once_per_surface(monkeypatch):
+    # gram_matrix and second_form read one Gram matrix per surface, each
+    # generator walked once, and every matrix returned is the caller's own
+    walks = []
+    real_walk = diagrams._walk
+
+    def counting_walk(qs, path, cyclic):
+        walks.append(path)
+        return real_walk(qs, path, cyclic)
+
+    monkeypatch.setattr(diagrams, "_walk", counting_walk)
+    rng = random.Random(139)
+    for _ in range(20):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        walks.clear()
+        gram = gram_matrix(qs)
+        kept = [list(row) for row in gram]
+        for _ in range(20):
+            x, y = (tuple(rng.randint(-2, 2) for _ in range(qs.rank)) for _ in range(2))
+            expected = sum(x[i] * y[j] * kept[i][j] for i in range(qs.rank) for j in range(qs.rank))
+            assert second_form(qs, x, y) == expected
+        assert len(walks) == qs.rank
+        gram[0][0] += 7
+        gram.append([1])
+        assert gram_matrix(qs) == kept
+        assert gram_matrix(qs, "+" * qs.n_gates) is not gram_matrix(qs)
+        assert len(walks) == qs.rank
+        assert qs.gate_crossing_matrix() is qs.gate_crossing_matrix()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -19,8 +20,10 @@ from quasiloop.diagrams import (
 from quasiloop.fox import algebraic_brace
 from quasiloop.homology import first_form, gram_matrix
 from quasiloop.homotopy import bullet, gate_brace_geometric, kk_pairing, second_bracket
+from quasiloop.quasilie import mu_total
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
 from quasiloop.ring import GroupRingElement, LoopCombination, project_to_classes
+from quasiloop.surface import build
 from quasiloop.words import Word, canonical_conjugacy
 
 
@@ -609,3 +612,49 @@ def test_bullet_y_slot_fox_route():
         assert bullet(qs, omega, x, y) == expected
         nonzero += bool(expected)
     assert nonzero >= 120  # 163 of the 300 when written
+
+
+def _memo_snapshot(qs):
+    """A copy of every memoized realization; holding it keeps its classes,
+    and so their entries, alive."""
+    return {
+        c: (tuple(dataclasses.astuple(a) for a in rl.arcs), rl.codes, tuple(rl.before),
+            tuple(tuple(at_gate) for at_gate in rl.crossings))
+        for c, rl in qs.realized.items()
+    }
+
+
+def test_shared_realizations_stay_read_only_in_any_call_order():
+    # every route reads the one realization of a class on its surface, so
+    # none may change it: each memoized loop is unchanged after each call,
+    # and the calls in a shuffled order on one surface give the values they
+    # give each on a fresh surface
+    rng = random.Random(79)
+    for _ in range(40):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        omega = random_omega(rng, qs)
+        x, y, z = (random_class(rng, qs.rank, min_len=2, max_len=8) for _ in range(3))
+        u = random_word(rng, qs.rank, max_len=6)
+        combo = second_bracket(qs, x, y)
+        calls = [
+            ("bullet", lambda s: bullet(s, omega, x, y)),
+            ("bullet opposite", lambda s: bullet(s, opposite(omega), x, y)),
+            ("bullet combination", lambda s: bullet(s, omega, combo, z)),
+            ("second_bracket", lambda s: second_bracket(s, y, z)),
+            ("kk_pairing", lambda s: kk_pairing(s, omega, x, u)),
+            ("first_form", lambda s: first_form(s, omega, x, y)),
+            ("gram_matrix", lambda s: gram_matrix(s)),
+            ("mu_total", lambda s: mu_total(s, x, y, z)),
+            ("combine_generic", lambda s: combine_generic(s, [x, y, z]).diagrams()),
+        ]
+        calls += [
+            (f"gate brace {gate}", lambda s, gate=gate: gate_brace_geometric(s, gate, [x, y]))
+            for gate in qs.gates
+        ]
+        expected = {name: call(build(qs.spec)) for name, call in calls}
+        rng.shuffle(calls)
+        for name, call in calls:
+            before = _memo_snapshot(qs)
+            assert call(qs) == expected[name], name
+            after = _memo_snapshot(qs)
+            assert all(after[c] == loop for c, loop in before.items()), name
