@@ -342,13 +342,17 @@ def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoo
     ``qs.realized`` under the class, and an equal class gets the same
     loop.  The memo holds its keys weakly, so an entry lives only while a
     caller holds that class object (a loop combination holds its terms).
-    The returned loop is shared and must not be changed.  A lane diagram
-    is validated and realized on every call and never memoized."""
+    A word is looked up under its class but not stored, since that class
+    object dies with the call.  The returned loop is shared and must not
+    be changed.  A lane diagram is validated and realized on every call
+    and never memoized."""
     if isinstance(x, LaneDiagram):
         validate_diagram(qs, x)
         return _realize_cyclic(qs, x)
     if isinstance(x, Word):
-        x = canonical_conjugacy(x)
+        c = canonical_conjugacy(x)
+        rl = qs.realized.get(c)
+        return rl if rl is not None else _walk(qs, qs.cyclic_edge_path(c), cyclic=True)
     if isinstance(x, ConjClass):
         memo = qs.realized
         rl = memo.get(x)

@@ -13,6 +13,7 @@ the orientation dependence.
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 from .diagrams import (
@@ -83,15 +84,20 @@ def first_form(
     )
 
 
+# the Gram matrix of each surface, dropped with the surface
+_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _gram(qs: QuasiSurface) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix, computed once per surface and kept on it."""
-    if qs._gram is None:
+    """The Gram matrix, computed once per surface."""
+    gram = _GRAMS.get(qs)
+    if gram is None:
         counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
-        qs._gram = tuple(
+        gram = _GRAMS[qs] = tuple(
             tuple(sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts)
             for cx in counts
         )
-    return qs._gram
+    return gram
 
 
 def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:

@@ -130,11 +130,9 @@ class QuasiSurface:
     """A validated quasi-surface with its derived free presentation.
 
     The presentation is immutable after :func:`build`, and every method
-    returns the same value for the same arguments.  Values derived from it
-    are memoized on the surface when first asked for and never changed
-    after: the realized loop of each class (``realized``, filled by
-    :func:`quasiloop.diagrams.realize_loop`), the gate crossing matrix and
-    the Gram matrix of :func:`quasiloop.homology.gram_matrix`.
+    returns the same value for the same arguments.  The one thing that
+    grows is ``realized``, the realized loop of each class, filled by
+    :func:`quasiloop.diagrams.realize_loop` and never changed after.
     """
 
     def __init__(self, spec: QuasiSurfaceSpec):
@@ -145,8 +143,6 @@ class QuasiSurface:
         # weak keys: a realization lives while some caller holds the class
         # object it was stored under, and dies with the surface
         self.realized: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._crossing_matrix: "tuple[tuple[int, ...], ...] | None" = None
-        self._gram: "tuple[tuple[int, ...], ...] | None" = None
 
     # --- construction -------------------------------------------------
 
@@ -405,19 +401,16 @@ class QuasiSurface:
 
     def gate_crossing_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Signed gate-crossing counts of each generator: rows are
-        generators, columns gates; realizes the dual maps on homology.
-        Computed once per surface."""
-        if self._crossing_matrix is None:
-            rows = []
-            for loop in self.generator_loops:
-                row = [0] * self.n_gates
-                for e, d in loop:
-                    gate = self.edges[e].gate
-                    if gate is not None:
-                        row[gate] += d
-                rows.append(tuple(row))
-            self._crossing_matrix = tuple(rows)
-        return self._crossing_matrix
+        generators, columns gates; realizes the dual maps on homology."""
+        rows = []
+        for loop in self.generator_loops:
+            row = [0] * self.n_gates
+            for e, d in loop:
+                gate = self.edges[e].gate
+                if gate is not None:
+                    row[gate] += d
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def summary(self) -> dict:
         return {

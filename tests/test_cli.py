@@ -361,43 +361,68 @@ def test_bracket_omega_independent(capsys):
     assert outs[0] == [[2, "g1 g4^-1 g2 g3^-1"]]
 
 
-def _modules_loaded_by_cli_import() -> list[str]:
-    """The modules a fresh interpreter loads for ``import quasiloop.cli``."""
+# What ``import quasiloop.cli`` loads from the standard library on a bare
+# interpreter (``-I -S``: no site hook or .pth file loads modules first;
+# ``-B`` so the run leaves no bytecode behind), per Python version.  Every one-shot call pays for it; a module joins
+# only with measured ``setup_s`` pairs, and then these sets grow with it.
+_CLI_STDLIB_311 = frozenset({
+    "__future__", "_ast", "_bisect", "_bz2", "_collections", "_collections_abc",
+    "_compression", "_decimal", "_functools", "_json", "_lzma", "_opcode", "_operator",
+    "_random", "_sha512", "_sre", "_stat", "_typing", "_weakrefset", "argparse", "ast",
+    "bisect", "bz2", "collections", "collections.abc", "contextlib", "copy", "copyreg",
+    "dataclasses", "decimal", "dis", "enum", "errno", "fnmatch", "fractions",
+    "functools", "genericpath", "gettext", "importlib", "importlib._bootstrap",
+    "importlib._bootstrap_external", "importlib.machinery", "importlib.resources",
+    "importlib.resources._adapters", "importlib.resources._common",
+    "importlib.resources._legacy", "importlib.resources.abc", "inspect", "ipaddress",
+    "itertools", "json", "json.decoder", "json.encoder", "json.scanner", "keyword",
+    "linecache", "lzma", "math", "ntpath", "numbers", "opcode", "operator", "os",
+    "os.path", "pathlib", "posixpath", "random", "re", "re._casefix", "re._compiler",
+    "re._constants", "re._parser", "reprlib", "shutil", "stat", "tempfile", "token",
+    "tokenize", "types", "typing", "typing.io", "typing.re", "urllib", "urllib.parse",
+    "warnings", "weakref", "zlib",
+})
+CLI_STDLIB_IMPORTS = {
+    (3, 10): _CLI_STDLIB_311 - {
+        "_typing", "importlib.resources._adapters", "importlib.resources._common",
+        "importlib.resources._legacy", "importlib.resources.abc", "ipaddress",
+        "re._casefix", "re._compiler", "re._constants", "re._parser",
+    } | {
+        "_locale", "importlib._abc", "importlib._adapters", "importlib._common",
+        "importlib.abc", "sre_compile", "sre_constants", "sre_parse",
+    },
+    (3, 11): _CLI_STDLIB_311,
+    (3, 12): _CLI_STDLIB_311 - {"_sha512"} | {"_sha2", "_tokenize"},
+    (3, 13): _CLI_STDLIB_311 - {
+        "_sha512", "importlib.resources._adapters", "importlib.resources._legacy",
+        "ipaddress", "linecache", "typing.io", "typing.re", "urllib", "urllib.parse",
+    } | {
+        "_opcode_metadata", "_tokenize", "glob", "grp", "importlib.resources._functional",
+        "pathlib._abc", "pathlib._local", "pwd",
+    },
+}
+
+
+def test_cli_import_loads_only_stdlib_and_package():
+    # the runtime is stdlib only, and the CLI's import graph is what every
+    # one-shot call pays for; on a Python version with a pinned set, no
+    # module outside it joins
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
         "import quasiloop.cli; print('\\n'.join(sorted(set(sys.modules) - before)))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-B", "-c", code, src],
+        capture_output=True, text=True, check=True,
     ).stdout.split()
     assert "quasiloop.cli" in out
-    return out
-
-
-def test_cli_import_loads_only_stdlib_and_package():
-    # the runtime is stdlib only, and the CLI's import graph is what every
-    # one-shot call pays for
-    out = _modules_loaded_by_cli_import()
     foreign = [
         m for m in out
         if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "quasiloop"
     ]
     assert foreign == []
-
-
-# What ``import quasiloop.cli`` loads from the standard library (CPython 3.11).
-# Every one-shot call pays for it; a module joins only with measured
-# ``setup_s`` pairs, and then this list grows with it.
-CLI_STDLIB_IMPORTS = {
-    "__future__", "_ast", "_decimal", "_json", "_opcode", "argparse", "ast", "copy",
-    "dataclasses", "decimal", "dis", "fractions", "gettext", "importlib.machinery",
-    "inspect", "json", "json.decoder", "json.encoder", "json.scanner", "linecache",
-    "numbers", "opcode", "token", "tokenize",
-}
-
-
-def test_cli_import_graph_is_pinned():
-    out = _modules_loaded_by_cli_import()
-    new = [m for m in out if m.split(".")[0] != "quasiloop" and m not in CLI_STDLIB_IMPORTS]
-    assert new == []
+    pinned = CLI_STDLIB_IMPORTS.get(sys.version_info[:2])
+    if pinned is not None:
+        new = [m for m in out if m.split(".")[0] != "quasiloop" and m not in pinned]
+        assert new == []

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -155,4 +157,8 @@ def test_gram_matrix_computed_once_per_surface(monkeypatch):
         assert gram_matrix(qs) == kept
         assert gram_matrix(qs, "+" * qs.n_gates) is not gram_matrix(qs)
         assert len(walks) == qs.rank
-        assert qs.gate_crossing_matrix() is qs.gate_crossing_matrix()
+    # the cached matrix does not keep its surface alive
+    gone = weakref.ref(qs)
+    del qs
+    gc.collect()
+    assert gone() is None
