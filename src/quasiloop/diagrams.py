@@ -191,17 +191,18 @@ class _RArc:
 @dataclass
 class _RLoop:
     """A realized loop.  Its letter codes are collapsed and its gate endpoints
-    listed once, and its rotation words are cached on it, so the one
-    realization of a class on a surface (:func:`realize_loop`) serves every
-    side table and family that reads the class.  It is shared, so nothing
-    changes it after :func:`_rloop` builds it; ``rotations`` only caches."""
+    listed once, and the codes of its rotation words are cached on it, so
+    the one realization of a class on a surface (:func:`realize_loop`)
+    serves every side table and family that reads the class.  It is shared,
+    so nothing changes it after :func:`_rloop` builds it; ``rotations``
+    only caches."""
 
     edge_path: EdgePath  # detours included; positions below index into it
     arcs: list[_RArc]
     codes: Codes  # the letter codes of edge_path, unreduced
     before: list[int]  # before[i]: the number of codes in edge_path[:i]
     crossings: list[list[tuple[int, bool]]]  # crossings[k]: (arc, entry) at gate k
-    rotations: dict[int, Word] = field(default_factory=dict)
+    rotations: dict[int, Codes] = field(default_factory=dict)
 
     def cut(self, arc: int, entry: bool) -> int:
         """Where a gate crossing cuts the loop: at the arc's entry letter
@@ -209,13 +210,18 @@ class _RLoop:
         a = self.arcs[arc]
         return a.entry_pos if entry else a.exit_pos + 1
 
+    def rotation_codes(self, cut: int) -> Codes:
+        """The reduced codes of the loop's word read from edge position
+        ``cut`` around to it."""
+        k = self.before[cut]
+        codes = self.rotations.get(k)
+        if codes is None:
+            codes = self.rotations[k] = _reduce(self.codes[k:] + self.codes[:k])
+        return codes
+
     def rotation(self, cut: int) -> Word:
         """The loop's word read from edge position ``cut`` around to it."""
-        k = self.before[cut]
-        word = self.rotations.get(k)
-        if word is None:
-            word = self.rotations[k] = _word(_reduce(self.codes[k:] + self.codes[:k]))
-        return word
+        return _word(self.rotation_codes(cut))
 
     def split(self, cut: int) -> tuple[Word, Word]:
         """The words before and after edge position ``cut``: where a based

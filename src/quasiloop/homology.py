@@ -14,7 +14,7 @@ the orientation dependence.
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .diagrams import (
     ExplicitDiagram,
@@ -38,10 +38,27 @@ def h1_class(qs: QuasiSurface, x: "Word | ConjClass | LaneDiagram") -> H1Class:
     return abelianize(x, qs.rank)
 
 
+# per surface, the matrices computed once for it (keyed by the function that
+# builds each), dropped with the surface
+_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _matrix(qs: QuasiSurface, build: Callable[[QuasiSurface], tuple]) -> tuple:
+    """``build(qs)``, computed on the first call for the surface and then kept."""
+    matrices = _MATRICES.get(qs)
+    if matrices is None:
+        matrices = _MATRICES[qs] = {}
+    matrix = matrices.get(build)
+    if matrix is None:
+        matrix = matrices[build] = build(qs)
+    return matrix
+
+
 def gate_dual(qs: QuasiSurface, gate: str, x: H1Class) -> int:
-    """The linear map dual to a gate, evaluated on a homology class."""
+    """The linear map dual to a gate, evaluated on a homology class; the
+    gate crossing matrix is computed once per surface."""
     k = qs.gate_index(gate)
-    matrix = qs.gate_crossing_matrix()
+    matrix = _matrix(qs, QuasiSurface.gate_crossing_matrix)
     return sum(coeff * matrix[i][k] for i, coeff in enumerate(x))
 
 
@@ -84,20 +101,13 @@ def first_form(
     )
 
 
-# the Gram matrix of each surface, dropped with the surface
-_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _gram(qs: QuasiSurface) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix, computed once per surface."""
-    gram = _GRAMS.get(qs)
-    if gram is None:
-        counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
-        gram = _GRAMS[qs] = tuple(
-            tuple(sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts)
-            for cx in counts
-        )
-    return gram
+def _build_gram(qs: QuasiSurface) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix, each generator realized once."""
+    counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
+    return tuple(
+        tuple(sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts)
+        for cx in counts
+    )
 
 
 def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:
@@ -107,7 +117,7 @@ def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) ->
     It is computed once per surface, each generator realized once; every
     call returns fresh lists.  ``omega`` is validated and otherwise unused."""
     parse_omega(qs, omega)
-    return [list(row) for row in _gram(qs)]
+    return [list(row) for row in _matrix(qs, _build_gram)]
 
 
 def second_form(qs: QuasiSurface, x, y) -> int:
@@ -116,7 +126,7 @@ def second_form(qs: QuasiSurface, x, y) -> int:
         x = h1_class(qs, x)
     if not isinstance(y, tuple):
         y = h1_class(qs, y)
-    gram = _gram(qs)
+    gram = _matrix(qs, _build_gram)
     return sum(
         x[i] * y[j] * gram[i][j] for i in range(qs.rank) for j in range(qs.rank)
     )

@@ -3,7 +3,11 @@
 All operations return exact integer combinations of conjugacy classes.
 Each argument is read through its side table: per gate, the signed
 rotation words of its crossings on the start side (the lane starting at
-the gate counterclockwise) and on the end side.  The oriented pairing
+the gate counterclockwise) and on the end side, each held as its letter
+codes.  A graft of two rotations goes from their codes to the canonical
+codes of the class (``words._graft``), and a call's grafts collect in
+one dict keyed by those codes, with a class built once per surviving
+term.  The oriented pairing
 grafts x onto y at every crossing q of y met before a crossing p of x
 along a gate in the gate's orientation: every crossing of y comes before
 each of x's crossings on one side (start for +1, end for -1) and before
@@ -35,7 +39,7 @@ from .diagrams import (
 )
 from .ring import GroupRingElement, LoopCombination, project_to_classes
 from .surface import QuasiSurface
-from .words import ConjClass, Word, canonical_conjugacy
+from .words import Codes, ConjClass, Word, _graft, _word, canonical_conjugacy
 
 
 def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
@@ -51,12 +55,12 @@ def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop combination")
 
 
-_Side = list[tuple[Word, int]]
+_Side = list[tuple[Codes, int]]
 
 
 def _side_table(qs: QuasiSurface, x) -> list[tuple[_Side, _Side]]:
     """An argument's crossings, per gate, as ``(start, end)``: the rotation
-    word and coeff · sign of each crossing on the lane starting at the gate
+    codes and coeff · sign of each crossing on the lane starting at the gate
     counterclockwise (``_RArc.start_side``) and of each crossing on the
     lane ending there, over the argument's terms, each term realized once."""
     table: list[tuple[_Side, _Side]] = [([], []) for _ in qs.gates]
@@ -64,23 +68,33 @@ def _side_table(qs: QuasiSurface, x) -> list[tuple[_Side, _Side]]:
         for (start, end), crossings in zip(table, rl.crossings):
             for arc, entry in crossings:
                 side = start if rl.arcs[arc].start_side(entry) else end
-                side.append((rl.rotation(rl.cut(arc, entry)), c if entry else -c))
+                side.append((rl.rotation_codes(rl.cut(arc, entry)), c if entry else -c))
     return table
 
 
-def _bracket_terms(
-    tx: Sequence[tuple[_Side, _Side]], ty: Sequence[tuple[_Side, _Side]]
-) -> Iterator[tuple[ConjClass, int]]:
-    """The grafts of ``[x, y]`` from the side tables of x and y: at each
-    gate, x's start side with y's end side, minus y's start side with x's
-    end side."""
+def _bracket_codes(
+    terms: dict[Codes, int],
+    tx: Sequence[tuple[_Side, _Side]],
+    ty: Sequence[tuple[_Side, _Side]],
+    scale: int = 1,
+) -> dict[Codes, int]:
+    """Add ``scale · [x, y]`` into ``terms``, canonical codes to
+    coefficients, from the side tables of x and y: at each gate, the
+    grafts of x's start side onto y's end side, minus those of y's start
+    side onto x's end side."""
+    get = terms.get
     for (start_x, end_x), (start_y, end_y) in zip(tx, ty):
         for a, ca in start_x:
+            ca *= scale
             for b, cb in end_y:
-                yield canonical_conjugacy(a * b), ca * cb
+                k = _graft(a, b)
+                terms[k] = get(k, 0) + ca * cb
         for b, cb in start_y:
+            cb *= -scale
             for a, ca in end_x:
-                yield canonical_conjugacy(b * a), -cb * ca
+                k = _graft(b, a)
+                terms[k] = get(k, 0) + cb * ca
+    return terms
 
 
 def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCombination:
@@ -120,6 +134,8 @@ def bullet(
     bilinearly), or a single two-loop :class:`ExplicitDiagram`.
     """
     signs = parse_omega(qs, omega)
+    terms: dict[Codes, int] = {}
+    get = terms.get
     if isinstance(x, ExplicitDiagram):
         fam, declared = explicit_pair(qs, x, y)
         grafts = [
@@ -128,17 +144,21 @@ def bullet(
         grafts += [
             (fam.exit_rotation_word(0, i), fam.exit_rotation_word(1, j), s) for i, j, s in declared
         ]
-        return LoopCombination.collect((canonical_conjugacy(a * b), c) for a, b, c in grafts)
+        for a, b, c in grafts:
+            k = _graft(a.codes, b.codes)
+            terms[k] = get(k, 0) + c
+        return LoopCombination._from_codes(terms)
     if y is None:
         raise ValueError("bullet needs two loops")
     # at each gate, x's start side (omega_k = +1) or end side (-1) with all of y
     both_y = [start + end for start, end in _side_table(qs, y)]
-    return LoopCombination.collect(
-        (canonical_conjugacy(a * b), w * ca * cb)
-        for w, (start, end), y_k in zip(signs, _side_table(qs, x), both_y)
-        for a, ca in (start if w > 0 else end)
-        for b, cb in y_k
-    )
+    for w, (start, end), y_k in zip(signs, _side_table(qs, x), both_y):
+        for a, ca in start if w > 0 else end:
+            ca *= w
+            for b, cb in y_k:
+                k = _graft(a, b)
+                terms[k] = get(k, 0) + ca * cb
+    return LoopCombination._from_codes(terms)
 
 
 def second_bracket(qs: QuasiSurface, x, y, omega=None) -> LoopCombination:
@@ -151,7 +171,7 @@ def second_bracket(qs: QuasiSurface, x, y, omega=None) -> LoopCombination:
     end-side crossings at gate k.  ``omega`` is validated and otherwise
     unused: it changes neither the value nor the route."""
     parse_omega(qs, omega)
-    return LoopCombination.collect(_bracket_terms(_side_table(qs, x), _side_table(qs, y)))
+    return LoopCombination._from_codes(_bracket_codes({}, _side_table(qs, x), _side_table(qs, y)))
 
 
 def kk_pairing(
@@ -174,6 +194,6 @@ def kk_pairing(
             for arc, entry in crossings if side else ():
                 prefix, suffix = based.split(based.cut(arc, entry))
                 for a, c in side:
-                    yield prefix * a * suffix, (w if entry else -w) * c
+                    yield prefix * _word(a) * suffix, (w if entry else -w) * c
 
     return GroupRingElement.collect(terms())

@@ -11,56 +11,73 @@ defects and localize a hypothetical failure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .diagrams import opposite, parse_omega
-from .homotopy import _Side, _bracket_terms, _side_table, bullet
-from .ring import GroupRingElement, LoopCombination
+from .homotopy import _Side, _bracket_codes, _side_table, bullet
+from .ring import LoopCombination
 from .surface import QuasiSurface
-from .words import canonical_conjugacy
+from .words import Codes, _graft, _product
 
 
-def _gate_factors(table: Sequence[tuple[_Side, _Side]]) -> list[GroupRingElement]:
+def _gate_factors(table: Sequence[tuple[_Side, _Side]]) -> list[dict[Codes, int]]:
     """Per gate, the gate brace's factor of one argument: its signed
-    rotation words on both sides, merged."""
-    return [GroupRingElement.collect(start + end) for start, end in table]
+    rotation codes on both sides, merged."""
+    factors = []
+    for start, end in table:
+        factor: dict[Codes, int] = {}
+        for a, c in start + end:
+            factor[a] = factor.get(a, 0) + c
+        factors.append({a: c for a, c in factor.items() if c})
+    return factors
 
 
-def _mu(fx, fy, fz) -> LoopCombination:
-    """mu(x, y, z) from the gate factors of x, y and z: at every gate, the
+def _mu_codes(terms: dict[Codes, int], fx, fy, fz, scale: int = 1) -> dict[Codes, int]:
+    """Add ``scale · mu(x, y, z)`` into ``terms``, canonical codes to
+    coefficients, from the gate factors of x, y and z: at every gate, the
     class projection of the product of the three factors."""
-    return LoopCombination.collect(
-        (canonical_conjugacy(w), c)
-        for dx, dy, dz in zip(fx, fy, fz)
-        for w, c in (dx * dy * dz).terms.items()
-    )
+    get = terms.get
+    for dx, dy, dz in zip(fx, fy, fz):
+        dxy: dict[Codes, int] = {}
+        for u, cu in dx.items():
+            cu *= scale
+            for v, cv in dy.items():
+                k = _product(u, v)
+                dxy[k] = dxy.get(k, 0) + cu * cv
+        for uv, c in dxy.items():
+            if c:
+                for w, cw in dz.items():
+                    k = _graft(uv, w)
+                    terms[k] = get(k, 0) + c * cw
+    return terms
 
 
 def mu_total(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """Sum of the 3-braces of all gates, ``sum_k p(D_k x D_k y D_k z)``
     with ``D_k`` an argument's signed rotation words at gate k; cyclically
     symmetric."""
-    return _mu(*(_gate_factors(_side_table(qs, a)) for a in (x, y, z)))
+    factors = (_gate_factors(_side_table(qs, a)) for a in (x, y, z))
+    return LoopCombination._from_codes(_mu_codes({}, *factors))
 
 
-def _jacobiator(qs: QuasiSurface, tx, ty, tz) -> LoopCombination:
-    """The Jacobiator from the side tables of x, y and z; each inner
-    bracket is realized once, for its own side table."""
-
-    def outer(ta, tb, tc):
-        inner = LoopCombination.collect(_bracket_terms(ta, tb))
-        return _bracket_terms(_side_table(qs, inner), tc)
-
-    return LoopCombination.collect(
-        itertools.chain(outer(tx, ty, tz), outer(ty, tz, tx), outer(tz, tx, ty))
-    )
+def _jacobiator_codes(
+    qs: QuasiSurface, terms: dict[Codes, int], tx, ty, tz, scale: int = 1
+) -> dict[Codes, int]:
+    """Add ``scale`` times the Jacobiator into ``terms`` from the side
+    tables of x, y and z; each inner bracket is a combination of classes,
+    realized once, for its own side table, and dropped before its grafts
+    so that its realized loops go too."""
+    for ta, tb, tc in ((tx, ty, tz), (ty, tz, tx), (tz, tx, ty)):
+        inner = _side_table(qs, LoopCombination._from_codes(_bracket_codes({}, ta, tb)))
+        _bracket_codes(terms, inner, tc, scale)
+    return terms
 
 
 def jacobiator(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] for the skew homotopy bracket."""
-    return _jacobiator(qs, *(_side_table(qs, a) for a in (x, y, z)))
+    tables = (_side_table(qs, a) for a in (x, y, z))
+    return LoopCombination._from_codes(_jacobiator_codes(qs, {}, *tables))
 
 
 @dataclass(frozen=True)
@@ -82,13 +99,17 @@ def verify_quasi_jacobi(qs: QuasiSurface, x, y, z) -> QuasiJacobiReport:
     Both sides read one side table per argument."""
     tx, ty, tz = (_side_table(qs, a) for a in (x, y, z))
     fx, fy, fz = (_gate_factors(t) for t in (tx, ty, tz))
-    return QuasiJacobiReport(_jacobiator(qs, tx, ty, tz), _mu(fx, fy, fz) - _mu(fy, fx, fz))
+    # the Jacobiator first: mu's terms are not yet held while its grafts collect
+    lhs = LoopCombination._from_codes(_jacobiator_codes(qs, {}, tx, ty, tz))
+    rhs = _mu_codes(_mu_codes({}, fx, fy, fz), fy, fx, fz, -1)
+    return QuasiJacobiReport(lhs, LoopCombination._from_codes(rhs))
 
 
 def s_bracket(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """The fully symmetric 3-bracket 2*mu - Jacobiator."""
     tx, ty, tz = (_side_table(qs, a) for a in (x, y, z))
-    return 2 * _mu(*(_gate_factors(t) for t in (tx, ty, tz))) - _jacobiator(qs, tx, ty, tz)
+    terms = _mu_codes({}, *(_gate_factors(t) for t in (tx, ty, tz)), 2)
+    return LoopCombination._from_codes(_jacobiator_codes(qs, terms, tx, ty, tz, -1))
 
 
 @dataclass(frozen=True)

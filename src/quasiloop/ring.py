@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .words import ConjClass, Word, canonical_conjugacy, format_word, parse_word
+from .words import Codes, ConjClass, Word, _class, canonical_conjugacy, format_word, parse_word
 
 
 class _Combination:
@@ -83,8 +83,9 @@ class _Combination:
         return type(self)({k: scalar * c for k, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple]:
+        """The terms, shortest word first, then by codes."""
         word = self._word
-        return sorted(self.terms.items(), key=lambda t: (len(word(t[0])), word(t[0]).key()))
+        return sorted(self.terms.items(), key=lambda t: (len(codes := word(t[0]).codes), codes))
 
     def __repr__(self) -> str:
         name = type(self).__name__
@@ -168,6 +169,16 @@ class LoopCombination(_Combination):
     @classmethod
     def from_class(cls, c: ConjClass, coeff: int = 1) -> "LoopCombination":
         return cls({c: coeff})
+
+    @classmethod
+    def _from_codes(cls, terms: Mapping[Codes, int]) -> "LoopCombination":
+        """The trusted constructor from collected canonical codes (as
+        :func:`~quasiloop.words._graft` returns them) to coefficients: one
+        class is built per nonzero term, in the mapping's order; nothing is
+        checked."""
+        out = object.__new__(cls)
+        out.terms = {_class(k): c for k, c in terms.items() if c}
+        return out
 
 
 def project_to_classes(x: GroupRingElement) -> LoopCombination:

@@ -18,8 +18,11 @@ Letters are validated once, where they enter: the public constructor
 ``Word(...)`` and :func:`parse_word` check every sign and index and reduce.
 Inside the engine, words whose codes are already valid and reduced are
 built through the trusted constructor :func:`_word`, which checks nothing;
-products cancel only at the seam, and inverses and rotations of reduced
-words are not reduced again.
+products cancel only at the seam (:func:`_product`), and inverses and
+rotations of reduced words are not reduced again.  The pair forms graft
+on code tuples alone: :func:`_graft` takes two reduced code tuples to the
+canonical codes of their product's class, and :func:`_class` builds a
+class from such codes once a collected term survives.
 
 Only the abstract free group lives here; how its generators arise from a
 quasi-surface presentation is the business of :mod:`quasiloop.surface`.
@@ -118,13 +121,7 @@ class Word:
         return hash(self.codes)
 
     def __mul__(self, other: "Word") -> "Word":
-        a, b = self.codes, other.codes
-        if not a or not b or a[-1] != b[0] ^ 1:
-            return _word(a + b)
-        k, n = 1, min(len(a), len(b))
-        while k < n and a[-1 - k] == b[k] ^ 1:
-            k += 1
-        return _word(a[: len(a) - k] + b[k:])
+        return _word(_product(self.codes, other.codes))
 
     def __invert__(self) -> "Word":
         return _word(_inverse(self.codes))
@@ -154,6 +151,25 @@ def _word(codes: Codes) -> Word:
     w = object.__new__(Word)
     w.codes = codes
     return w
+
+
+def _product(a: Codes, b: Codes) -> Codes:
+    """The product of two reduced code tuples, reduced: letters cancel only
+    at the seam."""
+    if not a or not b or a[-1] != b[0] ^ 1:
+        return a + b
+    k, n = 1, min(len(a), len(b))
+    while k < n and a[-1 - k] == b[k] ^ 1:
+        k += 1
+    return a[: len(a) - k] + b[k:]
+
+
+def _graft(a: Codes, b: Codes) -> Codes:
+    """The canonical codes of the class of the product of two reduced code
+    tuples: the seam cancelled, the wraparound cancelled, the least
+    rotation.  Checks nothing and builds no :class:`Word`; equal to
+    ``canonical_conjugacy(_word(a) * _word(b)).word.codes``."""
+    return minimal_rotation(cyclic_reduction(_product(a, b)))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -226,6 +242,15 @@ class ConjClass:
         return f"ConjClass({format_word(self.word)!r})"
 
 
+def _class(codes: Codes) -> ConjClass:
+    """The trusted class constructor: ``codes`` must already be canonical
+    (cyclically reduced, least rotation), as :func:`_graft` returns them;
+    nothing is checked."""
+    c = object.__new__(ConjClass)
+    c.word = _word(codes)
+    return c
+
+
 def word_is_trivial(word: Word) -> bool:
     return not word.codes
 
@@ -233,9 +258,7 @@ def word_is_trivial(word: Word) -> bool:
 def canonical_conjugacy(w: Word) -> ConjClass:
     """Map a word to its conjugacy class: cyclic reduction, then the
     least rotation of its codes."""
-    c = object.__new__(ConjClass)
-    c.word = _word(minimal_rotation(cyclic_reduction(w.codes)))
-    return c
+    return _class(minimal_rotation(cyclic_reduction(w.codes)))
 
 
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:
@@ -252,7 +275,7 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
 # --- token serialization: "g1 g3^-1" with 1-based generator numbering ---
 
 def format_word(w: Word) -> str:
-    return " ".join(f"g{g + 1}" if s > 0 else f"g{g + 1}^-1" for g, s in w.letters)
+    return " ".join([f"g{(c >> 1) + 1}^-1" if c & 1 else f"g{(c >> 1) + 1}" for c in w.codes])
 
 
 def _token_number(token: str) -> "int | None":

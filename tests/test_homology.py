@@ -8,6 +8,7 @@ from quasiloop import diagrams
 from quasiloop.diagrams import flip_gate, opposite, parse_omega, word_to_diagram
 from quasiloop.homology import first_form, gate_dual, gram_matrix, h1_class, second_form
 from quasiloop.randomcase import random_class, random_omega, random_surface, random_word
+from quasiloop.surface import QuasiSurface
 from quasiloop.words import canonical_conjugacy, commutator
 
 
@@ -160,5 +161,36 @@ def test_gram_matrix_computed_once_per_surface(monkeypatch):
     # the cached matrix does not keep its surface alive
     gone = weakref.ref(qs)
     del qs
+    gc.collect()
+    assert gone() is None
+
+
+def test_gate_dual_reads_one_matrix_per_surface(monkeypatch):
+    # gate_dual computes the gate crossing matrix once per surface, in the
+    # same per-surface table as the Gram matrix, and agrees with a fresh one
+    builds = []
+    real_matrix = QuasiSurface.gate_crossing_matrix
+
+    def counting_matrix(qs):
+        builds.append(qs)
+        return real_matrix(qs)
+
+    monkeypatch.setattr(QuasiSurface, "gate_crossing_matrix", counting_matrix)
+    rng = random.Random(147)
+    for _ in range(20):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        fresh = real_matrix(qs)
+        builds.clear()
+        gram = gram_matrix(qs)
+        for _ in range(10):
+            x = tuple(rng.randint(-2, 2) for _ in range(qs.rank))
+            for k, gate in enumerate(qs.gates):
+                assert gate_dual(qs, gate, x) == sum(c * fresh[i][k] for i, c in enumerate(x))
+        assert builds == [qs]
+        assert gram_matrix(qs) == gram
+    # the cached matrices do not keep their surface alive
+    gone = weakref.ref(qs)
+    del qs
+    builds.clear()
     gc.collect()
     assert gone() is None

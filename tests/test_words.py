@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from quasiloop.words import (
     Word,
+    _graft,
+    _inverse,
     _reduce,
+    _word,
     abelianize,
     canonical_conjugacy,
     commutator,
@@ -237,3 +240,56 @@ def test_codes_agree_with_letter_references(a, b, c):
     assert decode(cyclic_reduction(u.codes)) == cyclic
     assert decode(minimal_rotation(encode(cyclic))) == plain_minimal_rotation(cyclic)
     assert canonical_conjugacy(u).word.letters == plain_minimal_rotation(cyclic)
+
+
+# --- the graft kernel against the Word route ----------------------------------
+
+def word_route_graft(a, b):
+    """Reference: the product of two words, then its class, through Word."""
+    return canonical_conjugacy(_word(a) * _word(b)).word.codes
+
+
+def plain_graft(a, b):
+    """Reference on (g, s) pairs: full reduction, cyclic reduction, least rotation."""
+    cyclic = plain_cyclic_reduction(plain_reduce(decode(a) + decode(b)))
+    return encode(plain_minimal_rotation(cyclic))
+
+
+@given(wide_lists_st, wide_lists_st)
+def test_graft_equals_word_route(a, b):
+    u, v = Word(a).codes, Word(b).codes
+    assert _graft(u, v) == word_route_graft(u, v) == plain_graft(u, v)
+    assert _graft(u, _inverse(u)) == ()
+    # the seam of u * (u^-1 v) cancels all of u and may go on
+    w = Word(decode(_inverse(u)) + tuple(b)).codes
+    assert _graft(u, w) == word_route_graft(u, w) == plain_graft(u, w)
+
+
+def test_graft_seeded_cases():
+    rng = random.Random(141)
+
+    def codes(n, gens=3):
+        return Word((rng.randrange(gens), rng.choice((1, -1))) for _ in range(n)).codes
+
+    cases = []
+    for c in range(8):
+        # one-letter words: equal, inverse, and any other letter
+        cases += [((c,), (c,)), ((c,), (c ^ 1,)), ((c,), (7 - c,)), ((c,), ()), ((), (c,))]
+    for _ in range(300):
+        p, q, r, s = (codes(rng.randrange(6)) for _ in range(4))
+        # full cancellation, and a seam cancellation (s) that leaves p ... p^-1
+        # to cancel across the wraparound
+        a = Word(decode(p + q + s)).codes
+        b = Word(decode(_inverse(s) + r + _inverse(p))).codes
+        cases += [(a, _inverse(a)), (a, b), (b, a)]
+    for letters in repeated_least_words():
+        # repeated least codes, split at every point
+        full = Word(letters).codes
+        cases += [(full[:i], full[i:]) for i in range(len(full) + 1)]
+    for a, b in cases:
+        assert _graft(a, b) == word_route_graft(a, b) == plain_graft(a, b)
+    assert all(_graft(a, _inverse(a)) == () for a, _ in cases)
+    # the wraparound case reaches the wraparound: p q s * s^-1 r p^-1 ~ q r
+    p, q, r, s = (0, 2), (4,), (6,), (2, 2)
+    a, b = p + q + s, _inverse(s) + r + _inverse(p)
+    assert _graft(a, b) == word_route_graft(a, b) == (4, 6)
