@@ -54,10 +54,18 @@ def _matrix(qs: QuasiSurface, build: Callable[[QuasiSurface], tuple]) -> tuple:
     return matrix
 
 
+def _check_rank(qs: QuasiSurface, x: H1Class) -> None:
+    """Reject a homology vector that has not one entry per generator."""
+    if len(x) != qs.rank:
+        raise ValueError(f"homology class has {len(x)} entries, surface rank is {qs.rank}")
+
+
 def gate_dual(qs: QuasiSurface, gate: str, x: H1Class) -> int:
-    """The linear map dual to a gate, evaluated on a homology class; the
-    gate crossing matrix is computed once per surface."""
+    """The linear map dual to a gate, evaluated on a homology class (one
+    entry per generator); the gate crossing matrix is computed once per
+    surface."""
     k = qs.gate_index(gate)
+    _check_rank(qs, x)
     matrix = _matrix(qs, QuasiSurface.gate_crossing_matrix)
     return sum(coeff * matrix[i][k] for i, coeff in enumerate(x))
 
@@ -121,11 +129,14 @@ def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) ->
 
 
 def second_form(qs: QuasiSurface, x, y) -> int:
-    """The skew-symmetric homological intersection form; orientation-free."""
+    """The skew-symmetric homological intersection form; orientation-free.
+    A homology class given as a tuple has one entry per generator."""
     if not isinstance(x, tuple):
         x = h1_class(qs, x)
     if not isinstance(y, tuple):
         y = h1_class(qs, y)
+    _check_rank(qs, x)
+    _check_rank(qs, y)
     gram = _matrix(qs, _build_gram)
     return sum(
         x[i] * y[j] * gram[i][j] for i in range(qs.rank) for j in range(qs.rank)

@@ -1,27 +1,28 @@
 """Homotopy intersection forms and geometric gate braces.
 
 All operations return exact integer combinations of conjugacy classes.
-Each argument is read through its side table: per gate, the signed
+Each argument is read through its sides at each gate: the signed
 rotation words of its crossings on the start side (the lane starting at
-the gate counterclockwise) and on the end side, each held as its letter
-codes.  A graft of two rotations goes from their codes to the canonical
-codes of the class (``words._graft``), and a call's grafts collect in
-one dict keyed by those codes, with a class built once per surviving
-term.  The oriented pairing
-grafts x onto y at every crossing q of y met before a crossing p of x
-along a gate in the gate's orientation: every crossing of y comes before
-each of x's crossings on one side (start for +1, end for -1) and before
-none on the other, so the pair set is that side of x times all of y.
-The based pairing splices the same side of x into the based loop at each
-of its crossings.  The skew bracket, the pairing minus its transpose,
-keeps only the grafts of crossings on opposite sides of a gate: a pair
-of crossings on the same side is grafted once in each pairing, to the
-same class with the same coefficient, and cancels, so it needs no
-orientation.  An explicit family (declared surface crossings, verbatim
-depths) is paired crossing by crossing instead.  The gate braces
-multiply one rotation per loop over all crossing tuples of a single
-gate; they agree with the algebraic braces built from the gate's Fox
-derivative, which is the engine's standing cross-check.
+the gate counterclockwise) and on the end side, held as letter codes.
+Every generic form sums grafts ``p(X·Y)`` in one loop (``_graft_sum``),
+from two code tuples to the canonical codes of the class
+(``words._graft``), into one dict keyed by those codes; a class is
+built once per surviving term.  The oriented pairing grafts x onto y at
+every crossing q of y met before a crossing p of x along a gate in the
+gate's orientation: every crossing of y comes before each of x's
+crossings on one side (start for +1, end for -1) and before none on the
+other, so the pair set is that side of x times all of y.  The based
+pairing splices the same side of x into the based loop at each of its
+crossings.  The skew bracket, the pairing minus its transpose, keeps
+only the grafts of crossings on opposite sides of a gate: a same-side
+pair is grafted once in each pairing, to the same class with the same
+coefficient, and cancels.  An explicit family (declared surface
+crossings, verbatim depths) is paired crossing by crossing instead.
+The m-fold gate brace multiplies one factor per argument, its signed
+rotations at the gate, and grafts the product of all but the last onto
+the last (``_brace_codes``); mu is its 3-brace summed over the gates.
+The braces agree with the algebraic braces of the gate's Fox
+derivative, the engine's standing cross-check.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .diagrams import (
     realize_based,
     realize_loop,
 )
-from .ring import GroupRingElement, LoopCombination, project_to_classes
+from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
-from .words import Codes, ConjClass, Word, _graft, _word, canonical_conjugacy
+from .words import Codes, ConjClass, Word, _graft, _product, _word, canonical_conjugacy
 
 
 def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
@@ -58,66 +59,89 @@ def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
 _Side = list[tuple[Codes, int]]
 
 
+def _sides(terms: list[tuple[_RLoop, int]], k: int) -> tuple[_Side, _Side]:
+    """An argument's crossings at gate ``k`` as ``(start, end)``: the
+    rotation codes and coeff · sign of each crossing on the lane starting
+    at the gate counterclockwise (``_RArc.start_side``) and of each crossing
+    on the lane ending there, over the argument's realized terms."""
+    start: _Side = []
+    end: _Side = []
+    for rl, c in terms:
+        for arc, entry in rl.crossings[k]:
+            side = start if rl.arcs[arc].start_side(entry) else end
+            side.append((rl.rotation_codes(rl.cut(arc, entry)), c if entry else -c))
+    return start, end
+
+
 def _side_table(qs: QuasiSurface, x) -> list[tuple[_Side, _Side]]:
-    """An argument's crossings, per gate, as ``(start, end)``: the rotation
-    codes and coeff · sign of each crossing on the lane starting at the gate
-    counterclockwise (``_RArc.start_side``) and of each crossing on the
-    lane ending there, over the argument's terms, each term realized once."""
-    table: list[tuple[_Side, _Side]] = [([], []) for _ in qs.gates]
-    for rl, c in _loop_terms(qs, x):
-        for (start, end), crossings in zip(table, rl.crossings):
-            for arc, entry in crossings:
-                side = start if rl.arcs[arc].start_side(entry) else end
-                side.append((rl.rotation_codes(rl.cut(arc, entry)), c if entry else -c))
-    return table
+    """An argument's sides at every gate, each term realized once."""
+    terms = _loop_terms(qs, x)
+    return [_sides(terms, k) for k in range(len(qs.gates))]
 
 
-def _bracket_codes(
-    terms: dict[Codes, int],
-    tx: Sequence[tuple[_Side, _Side]],
-    ty: Sequence[tuple[_Side, _Side]],
-    scale: int = 1,
-) -> dict[Codes, int]:
-    """Add ``scale · [x, y]`` into ``terms``, canonical codes to
-    coefficients, from the side tables of x and y: at each gate, the
-    grafts of x's start side onto y's end side, minus those of y's start
-    side onto x's end side."""
+def _gate_factor(sides: tuple[_Side, _Side]) -> dict[Codes, int]:
+    """The gate brace's factor of one argument at one gate,
+    ``D_k = A+_k + A-_k``: its signed rotation codes on both sides, merged,
+    zero coefficients dropped."""
+    start, end = sides
+    factor: dict[Codes, int] = {}
+    for a, c in start + end:
+        factor[a] = factor.get(a, 0) + c
+    return {a: c for a, c in factor.items() if c}
+
+
+def _graft_sum(terms: dict[Codes, int], xs, ys, scale: int = 1) -> dict[Codes, int]:
+    """Add ``scale · p(X·Y)`` into ``terms``, canonical codes to
+    coefficients, for X and Y given as ``(codes, coeff)`` pairs: every code
+    tuple of X grafted onto every one of Y."""
     get = terms.get
-    for (start_x, end_x), (start_y, end_y) in zip(tx, ty):
-        for a, ca in start_x:
-            ca *= scale
-            for b, cb in end_y:
-                k = _graft(a, b)
-                terms[k] = get(k, 0) + ca * cb
-        for b, cb in start_y:
-            cb *= -scale
-            for a, ca in end_x:
-                k = _graft(b, a)
-                terms[k] = get(k, 0) + cb * ca
+    for a, ca in xs:
+        ca *= scale
+        for b, cb in ys:
+            k = _graft(a, b)
+            terms[k] = get(k, 0) + ca * cb
     return terms
+
+
+def _bracket_codes(terms: dict[Codes, int], tx, ty, scale: int = 1) -> dict[Codes, int]:
+    """Add ``scale · [x, y]`` into ``terms`` from the side tables of x and
+    y: at each gate, the grafts of x's start side onto y's end side, minus
+    those of y's start side onto x's end side."""
+    for (start_x, end_x), (start_y, end_y) in zip(tx, ty):
+        _graft_sum(terms, start_x, end_y, scale)
+        _graft_sum(terms, start_y, end_x, -scale)
+    return terms
+
+
+def _brace_codes(
+    terms: dict[Codes, int], factors: Sequence[dict[Codes, int]], scale: int = 1
+) -> dict[Codes, int]:
+    """Add ``scale · p(F_1 ... F_m)`` into ``terms`` for gate factors
+    ``F_i``: all factors but the last multiplied out on code tuples, zero
+    coefficients dropped, then grafted onto the last."""
+    *head, last = factors
+    product: dict[Codes, int] = {(): 1}
+    for factor in head:
+        step: dict[Codes, int] = {}
+        for u, cu in product.items():
+            for v, cv in factor.items():
+                k = _product(u, v)
+                step[k] = step.get(k, 0) + cu * cv
+        product = {k: c for k, c in step.items() if c}
+    return _graft_sum(terms, product.items(), last.items(), scale)
 
 
 def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCombination:
     """The m-linear gate bracket: over every choice of one gate crossing
     per loop, the product of crossing signs times the class of the
-    product of the rotated loop words.  The sum factors into one group-ring
-    element per argument, its signed rotations at the gate; the bracket
-    is the class projection of their product."""
+    product of the rotated loop words.  The sum factors into one factor
+    per argument, its signed rotations at the gate; the bracket is the
+    class projection of their product."""
     k = qs.gate_index(gate)
     if not loops:
         raise ValueError("gate brace needs at least one loop")
-    factors = [
-        GroupRingElement.collect(
-            (rl.rotation(rl.cut(arc, entry)), c if entry else -c)
-            for rl, c in _loop_terms(qs, x)
-            for arc, entry in rl.crossings[k]
-        )
-        for x in loops
-    ]
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product * factor
-    return project_to_classes(product)
+    factors = [_gate_factor(_sides(_loop_terms(qs, x), k)) for x in loops]
+    return LoopCombination._from_codes(_brace_codes({}, factors))
 
 
 def bullet(
@@ -135,7 +159,6 @@ def bullet(
     """
     signs = parse_omega(qs, omega)
     terms: dict[Codes, int] = {}
-    get = terms.get
     if isinstance(x, ExplicitDiagram):
         fam, declared = explicit_pair(qs, x, y)
         grafts = [
@@ -146,18 +169,14 @@ def bullet(
         ]
         for a, b, c in grafts:
             k = _graft(a.codes, b.codes)
-            terms[k] = get(k, 0) + c
+            terms[k] = terms.get(k, 0) + c
         return LoopCombination._from_codes(terms)
     if y is None:
         raise ValueError("bullet needs two loops")
     # at each gate, x's start side (omega_k = +1) or end side (-1) with all of y
     both_y = [start + end for start, end in _side_table(qs, y)]
     for w, (start, end), y_k in zip(signs, _side_table(qs, x), both_y):
-        for a, ca in start if w > 0 else end:
-            ca *= w
-            for b, cb in y_k:
-                k = _graft(a, b)
-                terms[k] = get(k, 0) + ca * cb
+        _graft_sum(terms, start if w > 0 else end, y_k, w)
     return LoopCombination._from_codes(terms)
 
 

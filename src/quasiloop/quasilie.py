@@ -2,11 +2,12 @@
 
 The skew 2-bracket fails the Jacobi identity on a quasi-surface exactly
 by the gate terms: the Jacobiator equals mu(x,y,z) - mu(y,x,z) for the
-cyclically symmetric 3-bracket mu summing the gate braces over all
-gates.  The verifier computes both sides exactly, from one side table
-per argument (see ``homotopy._side_table``); the P/u diagnostics
-recompute the Jacobiator from the oriented pairing's associativity
-defects and localize a hypothetical failure.
+cyclically symmetric 3-bracket mu summing the gate 3-braces over all
+gates.  The verifier computes both sides exactly from one side table
+per argument (``homotopy._side_table``), mu through the m-fold brace of
+``gate_brace_geometric`` (``homotopy._brace_codes``); the P/u
+diagnostics recompute the Jacobiator from the oriented pairing's
+associativity defects and localize a hypothetical failure.
 """
 
 from __future__ import annotations
@@ -15,41 +16,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diagrams import opposite, parse_omega
-from .homotopy import _Side, _bracket_codes, _side_table, bullet
+from .homotopy import _brace_codes, _bracket_codes, _gate_factor, _side_table, bullet
 from .ring import LoopCombination
 from .surface import QuasiSurface
-from .words import Codes, _graft, _product
-
-
-def _gate_factors(table: Sequence[tuple[_Side, _Side]]) -> list[dict[Codes, int]]:
-    """Per gate, the gate brace's factor of one argument: its signed
-    rotation codes on both sides, merged."""
-    factors = []
-    for start, end in table:
-        factor: dict[Codes, int] = {}
-        for a, c in start + end:
-            factor[a] = factor.get(a, 0) + c
-        factors.append({a: c for a, c in factor.items() if c})
-    return factors
+from .words import Codes
 
 
 def _mu_codes(terms: dict[Codes, int], fx, fy, fz, scale: int = 1) -> dict[Codes, int]:
     """Add ``scale · mu(x, y, z)`` into ``terms``, canonical codes to
-    coefficients, from the gate factors of x, y and z: at every gate, the
-    class projection of the product of the three factors."""
-    get = terms.get
-    for dx, dy, dz in zip(fx, fy, fz):
-        dxy: dict[Codes, int] = {}
-        for u, cu in dx.items():
-            cu *= scale
-            for v, cv in dy.items():
-                k = _product(u, v)
-                dxy[k] = dxy.get(k, 0) + cu * cv
-        for uv, c in dxy.items():
-            if c:
-                for w, cw in dz.items():
-                    k = _graft(uv, w)
-                    terms[k] = get(k, 0) + c * cw
+    coefficients, from the per-gate factors of x, y and z: the gate
+    3-brace at every gate."""
+    for factors in zip(fx, fy, fz):
+        _brace_codes(terms, factors, scale)
     return terms
 
 
@@ -57,7 +35,7 @@ def mu_total(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """Sum of the 3-braces of all gates, ``sum_k p(D_k x D_k y D_k z)``
     with ``D_k`` an argument's signed rotation words at gate k; cyclically
     symmetric."""
-    factors = (_gate_factors(_side_table(qs, a)) for a in (x, y, z))
+    factors = (map(_gate_factor, _side_table(qs, a)) for a in (x, y, z))
     return LoopCombination._from_codes(_mu_codes({}, *factors))
 
 
@@ -98,7 +76,7 @@ def verify_quasi_jacobi(qs: QuasiSurface, x, y, z) -> QuasiJacobiReport:
     """Jacobiator of the 2-bracket against mu(x,y,z) - mu(y,x,z), exactly.
     Both sides read one side table per argument."""
     tx, ty, tz = (_side_table(qs, a) for a in (x, y, z))
-    fx, fy, fz = (_gate_factors(t) for t in (tx, ty, tz))
+    fx, fy, fz = (list(map(_gate_factor, t)) for t in (tx, ty, tz))
     # the Jacobiator first: mu's terms are not yet held while its grafts collect
     lhs = LoopCombination._from_codes(_jacobiator_codes(qs, {}, tx, ty, tz))
     rhs = _mu_codes(_mu_codes({}, fx, fy, fz), fy, fx, fz, -1)
@@ -108,7 +86,7 @@ def verify_quasi_jacobi(qs: QuasiSurface, x, y, z) -> QuasiJacobiReport:
 def s_bracket(qs: QuasiSurface, x, y, z) -> LoopCombination:
     """The fully symmetric 3-bracket 2*mu - Jacobiator."""
     tx, ty, tz = (_side_table(qs, a) for a in (x, y, z))
-    terms = _mu_codes({}, *(_gate_factors(t) for t in (tx, ty, tz)), 2)
+    terms = _mu_codes({}, *(map(_gate_factor, t) for t in (tx, ty, tz)), 2)
     return LoopCombination._from_codes(_jacobiator_codes(qs, terms, tx, ty, tz, -1))
 
 

@@ -153,6 +153,15 @@ class QuasiSurface:
         for g in self.gates:
             if g in seen:
                 raise ValueError(f"duplicate gate id {g!r}")
+            # a gate id is a loop token: "" and "1" spell the trivial loop, a
+            # space splits a token, and "^-1" marks the reverse direction
+            if not isinstance(g, str) or g in ("", "1") or g.endswith("^-1") or any(
+                ch.isspace() for ch in g
+            ):
+                raise ValueError(
+                    f"gate id {g!r} is not a loop token: a gate id is a string, not empty"
+                    " or 1, with no whitespace and not ending in ^-1"
+                )
             seen.add(g)
         self.gate_position: dict[str, tuple[int, int]] = {}
         for d, disk in enumerate(spec.disks):

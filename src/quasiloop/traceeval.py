@@ -106,14 +106,24 @@ class RepresentationPoint:
 
     @classmethod
     def create(cls, n: int, images: Sequence[Sequence[Sequence]]) -> "RepresentationPoint":
-        """Entries are integers, ``Fraction``s or strings such as ``"1/2"``.
-        A ``float`` entry (which would be read as its binary value), a
-        ``bool`` entry and an ``n`` that is not an ``int`` are rejected."""
+        """Each image is a list or tuple of rows, and each row a list or
+        tuple of entries (a string row would be read one character at a
+        time).  Entries are integers, ``Fraction``s or strings such as
+        ``"1/2"``.  A ``float`` entry (which would be read as its binary
+        value), a ``bool`` entry and an ``n`` that is not an ``int`` are
+        rejected."""
         if type(n) is not int:
             raise ValueError(f"malformed representation: n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"malformed representation: n must be >= 1, got {n}")
         for g, rows in enumerate(images):
+            if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in rows
+            ):
+                raise ValueError(
+                    f"malformed representation: the image of g{g + 1} must be an array of rows,"
+                    f" each an array of entries, got {rows!r}"
+                )
             if any(isinstance(x, (bool, float)) for row in rows for x in row):
                 raise ValueError(
                     f"malformed representation: g{g + 1} has an entry that is not an integer or a string"

@@ -206,6 +206,41 @@ def test_trace_eval_malformed_rep(capsys, tmp_path, rep):
     assert json.loads(err)["error"].startswith("malformed representation: ")
 
 
+@pytest.mark.parametrize(
+    "images", [{"g1": ["12", "01"]}, {"g1": "5"}], ids=["string_rows", "string_image"]
+)
+def test_rep_with_string_rows_rejected(capsys, tmp_path, images):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": len(images["g1"]), "images": images}), encoding="utf-8")
+    for command in (["trace-eval", "--expr", "g1 g2^-1"],
+                    ["bracket", "--x", "g1 g2^-1", "--y", "g1 g2^-1"]):
+        code, out, err = run(capsys, *command, "--spec", "fixture:qt2", "--rep", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("malformed representation: the image of g1 ")
+
+
+@pytest.mark.parametrize("bad", ["a^-1", "b c", "", "1"])
+def test_validate_rejects_gate_id_that_is_not_a_loop_token(capsys, tmp_path, bad):
+    spec = {
+        "disks": [{"gates": ["a", bad]}],
+        "graph": {"vertices": ["v"], "edges": []},
+        "gluing": {"a": "v", bad: "v"},
+        "basepoint": "v",
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == (
+        f"gate id {bad!r} is not a loop token: a gate id is a string, not empty"
+        " or 1, with no whitespace and not ending in ^-1"
+    )
+
+
 def test_bracket_with_trace(capsys, tmp_path):
     rep = {"n": 1, "images": {"g1": [["3"]]}}
     path = tmp_path / "rep.json"

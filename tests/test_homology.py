@@ -26,6 +26,20 @@ def test_graph_loops_pair_to_zero(qd2):
     assert first_form(qd2, None, x, y) == 0
 
 
+def test_homology_vector_of_wrong_length_rejected(qg1):
+    # (1,) once read as (1, 0), and (1, 0, 7) as (1, 0); other lengths
+    # ended in a bare IndexError
+    for bad in ((), (1,), (1, 0, 7)):
+        with pytest.raises(ValueError, match=f"^homology class has {len(bad)} entries, surface rank is 2$"):
+            gate_dual(qg1, "g1", bad)
+        with pytest.raises(ValueError, match="^homology class has "):
+            second_form(qg1, bad, (0, 1))
+        with pytest.raises(ValueError, match="^homology class has "):
+            second_form(qg1, (0, 1), bad)
+    assert second_form(qg1, (1, 0), (0, 1)) == 2
+    assert gate_dual(qg1, "g1", (1, 0)) == 1
+
+
 def test_qt2_gram_is_zero(qt2):
     assert gram_matrix(qt2) == [[0]]
 

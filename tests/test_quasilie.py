@@ -13,9 +13,9 @@ from quasiloop.quasilie import (
     verify_quasi_jacobi,
 )
 from quasiloop import fixtures
-from quasiloop.homotopy import _loop_terms, bullet, second_bracket
+from quasiloop.homotopy import _loop_terms, bullet, gate_brace_geometric, second_bracket
 from quasiloop.randomcase import random_class, random_omega, random_surface
-from quasiloop.ring import GroupRingElement, LoopCombination
+from quasiloop.ring import GroupRingElement, LoopCombination, project_to_classes
 from quasiloop.words import canonical_conjugacy
 
 
@@ -230,6 +230,17 @@ def word_mu(qs, x, y, z):
     )
 
 
+def word_brace(qs, gate, loops):
+    # one group-ring factor per loop, both sides at the gate, multiplied
+    # and projected to classes
+    k = qs.gate_index(gate)
+    product = GroupRingElement.one()
+    for x in loops:
+        start, end = word_side_table(qs, x)[k]
+        product = product * GroupRingElement.collect(start + end)
+    return project_to_classes(product)
+
+
 def reference_cases():
     rng = random.Random(143)
     for _ in range(80):
@@ -248,7 +259,7 @@ def canonical_without_zeros(value):
 def test_code_route_equals_word_route():
     # every form that grafts on code tuples, against the Word route it
     # replaced: rotation Words, products, canonical_conjugacy, collect
-    nonzero = dict.fromkeys(("bracket", "bullet", "jacobiator", "mu", "s"), 0)
+    nonzero = dict.fromkeys(("bracket", "bullet", "brace", "jacobiator", "mu", "s"), 0)
     for qs, omega, (x, y, z) in reference_cases():
         combo = LoopCombination.collect([(x, 2), (y, -3), (z, 1)])
         tx, ty = (word_side_table(qs, a) for a in (x, y))
@@ -261,6 +272,13 @@ def test_code_route_equals_word_route():
             ("mu", mu_total(qs, x, y, z), word_mu(qs, x, y, z)),
             ("s", s_bracket(qs, x, y, z), 2 * word_mu(qs, x, y, z) - word_jacobiator(qs, x, y, z)),
         ]
+        for m in (1, 2, 3, 4):
+            # a combination in the last slot
+            loops = [x, y, z][: m - 1] + [combo]
+            checks += [
+                ("brace", gate_brace_geometric(qs, gate, loops), word_brace(qs, gate, loops))
+                for gate in qs.gates
+            ]
         report = verify_quasi_jacobi(qs, x, y, z)
         checks += [
             ("jacobiator", report.lhs, word_jacobiator(qs, x, y, z)),
@@ -270,6 +288,6 @@ def test_code_route_equals_word_route():
             assert value == expected, name
             assert canonical_without_zeros(value), name
             nonzero[name] += bool(expected)
-    # 45, 162, 46, 52 and 29 nonzero when written
-    floors = {"bracket": 30, "bullet": 110, "jacobiator": 30, "mu": 35, "s": 20}
+    # 45, 162, 820, 46, 52 and 29 nonzero when written
+    floors = {"bracket": 30, "bullet": 110, "brace": 550, "jacobiator": 30, "mu": 35, "s": 20}
     assert all(nonzero[name] >= floor for name, floor in floors.items()), nonzero

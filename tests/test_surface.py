@@ -46,6 +46,35 @@ def test_duplicate_gate_rejected():
         build(spec)
 
 
+@pytest.mark.parametrize("bad", ["a^-1", "b c", "b\tc", "", "1"])
+def test_gate_id_that_is_not_a_loop_token_rejected(bad):
+    # "a^-1" would read as the inverse of gate a, "b c" as two tokens, and
+    # "" and "1" as the trivial loop
+    spec = QuasiSurfaceSpec(
+        disks=(("a", bad),),
+        vertices=("v",),
+        edges=(),
+        gluing={"a": "v", bad: "v"},
+        basepoint="v",
+    )
+    with pytest.raises(ValueError, match="is not a loop token") as info:
+        build(spec)
+    assert "\n" not in str(info.value)
+
+
+def test_gate_id_with_inner_caret_is_a_token():
+    spec = QuasiSurfaceSpec(
+        disks=(("a", "a^-1b"),),
+        vertices=("v",),
+        edges=(),
+        gluing={"a": "v", "a^-1b": "v"},
+        basepoint="v",
+    )
+    qs = build(spec)
+    assert qs.format_edge_path(qs.generator_loops[0]) == "a a^-1b^-1"
+    assert qs.parse_edge_word("a a^-1b^-1") == tuple(qs.generator_loops[0])
+
+
 def test_partial_gluing_rejected():
     spec = QuasiSurfaceSpec(
         disks=(("g1", "g2"),),

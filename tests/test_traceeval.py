@@ -83,6 +83,24 @@ def test_create_rejects_inexact_input():
     assert RepresentationPoint.create(1, [[[Fraction(1, 10)]]]).images == (((Fraction(1, 10),),),)
 
 
+def test_create_rejects_rows_that_are_not_arrays():
+    # a string image or row was read one character at a time: ["12", "01"]
+    # gave [[1, 2], [0, 1]] and "5" gave [[5]]
+    for n, images in (
+        (2, [["12", "01"]]),
+        (1, ["5"]),
+        (1, [[["1"]], "2"]),
+        (1, [{"0": ["1"]}]),
+        (1, [None]),
+    ):
+        with pytest.raises(ValueError, match="^malformed representation: the image of g"):
+            RepresentationPoint.create(n, images)
+    for data in ({"n": 2, "images": {"g1": ["12", "01"]}}, {"n": 1, "images": {"g1": "5"}}):
+        with pytest.raises(ValueError, match="^malformed representation: the image of g1 "):
+            RepresentationPoint.from_json_dict(data)
+    assert RepresentationPoint.create(1, ((("5",),),)).images == (((Fraction(5),),),)
+
+
 def test_missing_generator_image(qt2):
     rho = RepresentationPoint.create(1, [[[2]]])
     with pytest.raises(ValueError, match="no matrix image"):
