@@ -35,6 +35,8 @@ def h1_class(qs: QuasiSurface, x: "Word | ConjClass | LaneDiagram") -> H1Class:
         x = diagram_to_word(qs, x)
     if isinstance(x, ConjClass):
         x = x.representative()
+    if not isinstance(x, Word):
+        raise ValueError(f"expected a word, a class or a lane diagram, got {x!r}")
     return abelianize(x, qs.rank)
 
 
@@ -54,18 +56,23 @@ def _matrix(qs: QuasiSurface, build: Callable[[QuasiSurface], tuple]) -> tuple:
     return matrix
 
 
-def _check_rank(qs: QuasiSurface, x: H1Class) -> None:
-    """Reject a homology vector that has not one entry per generator."""
+def _check_rank(qs: QuasiSurface, x: "Sequence[int]") -> H1Class:
+    """A homology vector as a tuple.  It is given as a tuple or list of one
+    ``int`` (not ``bool`` or ``float``) per generator; anything else is
+    rejected."""
+    if not isinstance(x, (tuple, list)) or any(type(c) is not int for c in x):
+        raise ValueError(f"homology class must be a tuple or list of integers, got {x!r}")
     if len(x) != qs.rank:
         raise ValueError(f"homology class has {len(x)} entries, surface rank is {qs.rank}")
+    return tuple(x)
 
 
-def gate_dual(qs: QuasiSurface, gate: str, x: H1Class) -> int:
-    """The linear map dual to a gate, evaluated on a homology class (one
-    entry per generator); the gate crossing matrix is computed once per
-    surface."""
+def gate_dual(qs: QuasiSurface, gate: str, x: "Sequence[int]") -> int:
+    """The linear map dual to a gate, evaluated on a homology class (a
+    tuple or list of one integer per generator); the gate crossing matrix
+    is computed once per surface."""
     k = qs.gate_index(gate)
-    _check_rank(qs, x)
+    x = _check_rank(qs, x)
     matrix = _matrix(qs, QuasiSurface.gate_crossing_matrix)
     return sum(coeff * matrix[i][k] for i, coeff in enumerate(x))
 
@@ -130,13 +137,14 @@ def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) ->
 
 def second_form(qs: QuasiSurface, x, y) -> int:
     """The skew-symmetric homological intersection form; orientation-free.
-    A homology class given as a tuple has one entry per generator."""
-    if not isinstance(x, tuple):
+    A homology class given as a tuple or list has one integer per
+    generator."""
+    if not isinstance(x, (tuple, list)):
         x = h1_class(qs, x)
-    if not isinstance(y, tuple):
+    if not isinstance(y, (tuple, list)):
         y = h1_class(qs, y)
-    _check_rank(qs, x)
-    _check_rank(qs, y)
+    x = _check_rank(qs, x)
+    y = _check_rank(qs, y)
     gram = _matrix(qs, _build_gram)
     return sum(
         x[i] * y[j] * gram[i][j] for i in range(qs.rank) for j in range(qs.rank)

@@ -40,6 +40,25 @@ def test_homology_vector_of_wrong_length_rejected(qg1):
     assert gate_dual(qg1, "g1", (1, 0)) == 1
 
 
+def test_homology_vector_entries_must_be_integers(qg1):
+    # (0.5, True) once gave 0.5 and (1.5, 0) gave 3.0; a list ended in a
+    # bare AttributeError in second_form
+    for bad in ((0.5, True), (1.5, 0), (True, 0), (1, "0"), (1, None), {0: 1, 1: 0}, "10"):
+        with pytest.raises(ValueError, match="^homology class must be a tuple or list of integers, got "):
+            gate_dual(qg1, "g1", bad)
+        if isinstance(bad, tuple):
+            with pytest.raises(ValueError, match="^homology class must be a tuple or list of integers, got "):
+                second_form(qg1, (0, 1), list(bad))
+        else:
+            with pytest.raises(ValueError, match="^expected a word, a class or a lane diagram, got "):
+                second_form(qg1, bad, (0, 1))
+    # a list is read as the tuple of its entries
+    assert second_form(qg1, [1, 0], [0, 1]) == second_form(qg1, (1, 0), (0, 1)) == 2
+    assert gate_dual(qg1, "g1", [1, 0]) == gate_dual(qg1, "g1", (1, 0)) == 1
+    with pytest.raises(ValueError, match="^homology class has 3 entries, surface rank is 2$"):
+        second_form(qg1, [1, 0, 7], (0, 1))
+
+
 def test_qt2_gram_is_zero(qt2):
     assert gram_matrix(qt2) == [[0]]
 

@@ -7,8 +7,10 @@ from quasiloop.fox import algebraic_brace
 from quasiloop.homotopy import gate_brace_geometric, second_bracket
 from quasiloop.quasilie import jacobiator, mu_total
 from quasiloop.randomcase import random_class, random_surface, random_word
-from quasiloop.ring import LoopCombination
+from quasiloop.ring import GroupRingElement, LoopCombination
 from quasiloop.traceeval import (
+    _KERNELS,
+    _UNROLL_MAX,
     RepresentationPoint,
     mat_det,
     mat_identity,
@@ -19,7 +21,7 @@ from quasiloop.traceeval import (
     verify_derivation_n1,
     verify_sl2_consistency,
 )
-from quasiloop.words import Word
+from quasiloop.words import Word, canonical_conjugacy
 
 
 def test_scalar_point(qt2):
@@ -222,6 +224,19 @@ def test_matrix_helpers():
     assert mat_mul(m, mat_inverse(m)) == mat_identity(2)
 
 
+def test_non_square_matrix_rejected():
+    # ((1, 2),) once had the "inverse" ((2, 1),) and determinant 1, and a
+    # 3x2 matrix ended in a bare IndexError
+    one = Fraction(1)
+    for bad in (((1, 2),), ((1, 2), (3, 4), (5, 6)), ((1, 2), (3,)), ((one,), (one,))):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            mat_det(bad)
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            mat_inverse(bad)
+    assert mat_det(((2, 1), (1, 1))) == 1
+    assert mat_inverse(((2,),)) == ((Fraction(1, 2),),)
+
+
 def _cofactor_det(a):
     """Reference determinant: cofactor expansion along the first row."""
     if len(a) == 1:
@@ -249,6 +264,12 @@ def _fraction_word(rho, w):
 
 
 def _rational_matrix(rng, n):
+    if n > 3:
+        # a unimodular matrix with its rows divided by 1 to 5: invertible,
+        # and its cofactor determinant would take n! terms
+        return tuple(
+            tuple(x / rng.randint(1, 5) for x in row) for row in random_unimodular(n, rng)
+        )
     while True:
         m = tuple(
             tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n))
@@ -258,32 +279,61 @@ def _rational_matrix(rng, n):
             return m
 
 
+def _reduced_word(rng, rank, length):
+    letters = []
+    while len(letters) < length:
+        g, s = rng.randrange(rank), rng.choice((1, -1))
+        if not letters or letters[-1] != (g, -s):
+            letters.append((g, s))
+    return Word(letters)
+
+
 def test_integer_route_equals_fraction_route():
+    # every n up to two past the unroll cap, so that both the unrolled and
+    # the generic kernels run, and words of 0, 1, 2 and more letters, since
+    # a trace meets its last letter by a pairing of its own
     rng = random.Random(58)
-    points = [(n, [random_unimodular(n, rng) for _ in range(3)]) for n in range(1, 7)]
+    sizes = range(1, _UNROLL_MAX + 3)
+    points = [(n, [random_unimodular(n, rng) for _ in range(3)]) for n in sizes]
     points += [(n, [_rational_matrix(rng, n) for _ in range(3)]) for n in (1, 2, 3) for _ in range(4)]
+    points += [(n, [_rational_matrix(rng, n) for _ in range(3)]) for n in (4, _UNROLL_MAX, _UNROLL_MAX + 1)]
     for n, images in points:
         rho = RepresentationPoint.create(n, images)
+        assert (n in _KERNELS) == (n <= _UNROLL_MAX)
         identity = mat_identity(n)
         for m, inv in zip(rho.images, rho.inverses):
-            assert mat_det(m) == _cofactor_det(m)
-            assert mat_det(inv) == 1 / _cofactor_det(m)
+            if n <= 6:
+                assert mat_det(m) == _cofactor_det(m)
+                assert mat_det(inv) == 1 / _cofactor_det(m)
+            assert mat_det(m) * mat_det(inv) == 1
             assert mat_inverse(m) == inv
             assert _fraction_mul(m, inv) == identity == _fraction_mul(inv, m)
-        assert rho.trace_word(Word()) == n
+        assert rho.trace_word(Word()) == rho.eval_trace(Word()) == n
         assert rho.evaluate_word(Word()) == identity
-        combination = LoopCombination.zero()
-        for coeff in (2, -1, 1):
-            w = random_word(rng, 3, max_len=8)
+        combination, element, reference = LoopCombination.zero(), GroupRingElement.zero(), 0
+        for length, coeff in zip((0, 1, 2, 3, 1, 2, 7), (3, 2, -1, 1, -2, 5, 1)):
+            w = _reduced_word(rng, 3, length)
+            assert len(w) == length
             expected = _fraction_word(rho, w)
+            expected_trace = sum(expected[i][i] for i in range(n))
             assert rho.evaluate_word(w) == expected
-            assert rho.trace_word(w) == rho.eval_trace(w) == sum(expected[i][i] for i in range(n))
+            assert rho.trace_word(w) == rho.eval_trace(w) == expected_trace
+            assert rho.eval_trace(canonical_conjugacy(w)) == expected_trace
             combination = combination + LoopCombination.from_word(w, coeff)
-        assert rho.eval_trace(combination) == sum(
-            c * sum(_fraction_word(rho, k.representative())[i][i] for i in range(n))
-            for k, c in combination.terms.items()
-        )
+            element = element + GroupRingElement.from_word(w, coeff)
+            reference += coeff * expected_trace
+        assert rho.eval_trace(combination) == rho.eval_trace(element) == reference
+        assert type(rho.eval_trace(element)) is type(rho.trace_word(Word())) is Fraction
         assert all(type(x) is Fraction for row in rho.evaluate_word(w) for x in row)
+        # a letter with no image is named, wherever it sits in the word
+        for w in (Word.generator(5), Word([(0, 1), (5, -1)]), Word([(1, 1), (0, 1), (5, 1), (7, 1)])):
+            for evaluate in (rho.trace_word, rho.evaluate_word, rho.eval_trace):
+                with pytest.raises(ValueError, match="^no matrix image for generator g6$"):
+                    evaluate(w)
+            with pytest.raises(ValueError, match="^no matrix image for generator g6$"):
+                rho.eval_trace(combination + LoopCombination.from_word(w))
+    assert len(_KERNELS) <= _UNROLL_MAX
+    assert set(_KERNELS) <= set(range(1, _UNROLL_MAX + 1))
 
 
 def test_representation_json_round_trip(qg1):
