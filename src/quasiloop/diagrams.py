@@ -111,38 +111,36 @@ class ExplicitDiagram:
                 raise ValueError("a crossing must join two arcs of one disk")
 
 
-def arc_gates(qs: QuasiSurface, arc: DiskArc) -> tuple[str, str]:
-    """(entry gate, exit gate) of an arc."""
-    gates = qs.disk_gates(arc.disk)
-    m = len(gates)
-    start, end = gates[arc.lane], gates[(arc.lane + 1) % m]
-    return (end, start) if arc.reverse else (start, end)
-
-
 def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
+    """Check a lane diagram, read from JSON or built in Python alike;
+    nothing is coerced.  Every path step is the ``int`` index of a graph
+    edge with an ``int`` sign of +-1; an arc-free diagram carries at most
+    one path and any other one path per arc; every arc has ``int`` (not
+    ``bool``) disk, lane and depth in range, a ``bool`` ``reverse`` and a
+    depth of its own in its lane; and the closed step sequence of
+    :func:`_diagram_steps` chains and closes."""
     for path in d.paths:
-        for _, sign in path:
-            if sign != 1 and sign != -1:
+        for e, sign in path:
+            if type(sign) is not int or not (sign == 1 or sign == -1):
                 raise ValueError(f"malformed diagram: path step sign must be +1 or -1, got {sign!r}")
-    if not d.arcs:
-        if len(d.paths) > 1:
-            raise ValueError("an arc-free diagram carries at most one closed path")
-        if d.paths:
-            path = d.paths[0]
-            for e, _ in path:
-                if qs.edges[e].gate is not None:
-                    raise ValueError("singular paths may only use graph edges")
-            start = qs.edge_endpoints(path[0])[0] if path else None
-            qs.validate_edge_path(path, closed_at=start)
-        return
-    if len(d.paths) != len(d.arcs):
+            if type(e) is not int or not 0 <= e < qs.n_y_edges:
+                raise ValueError(
+                    f"malformed diagram: path step edge {e!r} is not the int index of one of"
+                    f" the {qs.n_y_edges} graph edges"
+                )
+    if not d.arcs and len(d.paths) > 1:
+        raise ValueError("an arc-free diagram carries at most one closed path")
+    if d.arcs and len(d.paths) != len(d.arcs):
         raise ValueError("need exactly one connecting path per arc")
     seen_depths: set[tuple[int, int, int]] = set()
     for arc in d.arcs:
+        if any(type(v) is not int for v in (arc.disk, arc.lane, arc.depth)) or type(arc.reverse) is not bool:
+            raise ValueError(
+                f"malformed diagram: an arc needs integer disk, lane and depth and a boolean reverse, got {arc!r}"
+            )
         if not 0 <= arc.disk < len(qs.spec.disks):
             raise ValueError(f"unknown disk {arc.disk}")
-        m = len(qs.disk_gates(arc.disk))
-        if not 0 <= arc.lane < m:
+        if not 0 <= arc.lane < len(qs.disk_gates(arc.disk)):
             raise ValueError(f"lane {arc.lane} out of range for disk {arc.disk}")
         if arc.depth < 1:
             raise ValueError("arc depth must be >= 1")
@@ -150,21 +148,8 @@ def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
         if key in seen_depths:
             raise ValueError(f"two arcs share depth {arc.depth} in lane {arc.lane} of disk {arc.disk}")
         seen_depths.add(key)
-    n = len(d.arcs)
-    for i, (arc, path) in enumerate(zip(d.arcs, d.paths)):
-        for e, _ in path:
-            if qs.edges[e].gate is not None:
-                raise ValueError("singular paths may only use graph edges")
-        _, exit_gate = arc_gates(qs, arc)
-        at = qs.glued_vertex(exit_gate)
-        for step in path:
-            src, dst = qs.edge_endpoints(step)
-            if src != at:
-                raise ValueError("singular path does not chain with its arc")
-            at = dst
-        next_entry, _ = arc_gates(qs, d.arcs[(i + 1) % n])
-        if at != qs.glued_vertex(next_entry):
-            raise ValueError("singular path does not reach the next arc's gate")
+    steps, _ = _diagram_steps(qs, d)
+    qs.validate_edge_path(steps, closed_at=qs.edge_endpoints(steps[0])[0] if steps else None)
 
 
 # --- realized loops ----------------------------------------------------
@@ -308,20 +293,24 @@ def _walk(qs: QuasiSurface, path: EdgePath, cyclic: bool) -> _RLoop:
     return _rloop(qs, steps, arcs)
 
 
-def _realize_cyclic(qs: QuasiSurface, d: LaneDiagram) -> _RLoop:
-    """A validated lane diagram realized verbatim, depths included."""
+def _diagram_steps(qs: QuasiSurface, d: LaneDiagram) -> tuple[list[EdgeStep], list[_RArc]]:
+    """The closed step sequence of a lane diagram, depths included: each
+    arc's entry and exit gate steps, then its graph path; an arc-free
+    diagram is its one path.  :func:`validate_diagram` checks that it
+    chains and closes, and :func:`realize_loop` realizes it verbatim."""
+    if not d.arcs:
+        return list(d.paths[0] if d.paths else ()), []
     steps: list[EdgeStep] = []
     arcs: list[_RArc] = []
     for arc, ypath in zip(d.arcs, d.paths):
-        enter, leave = arc_gates(qs, arc)
-        entry_pos = len(steps)
-        steps.append((qs.gate_edge[enter], 1))
-        steps.append((qs.gate_edge[leave], -1))
-        steps.extend(ypath)
-        arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, entry_pos, entry_pos + 1))
-    if not d.arcs and d.paths:
-        steps.extend(d.paths[0])
-    return _rloop(qs, steps, arcs)
+        gates = qs.disk_gates(arc.disk)
+        enter = qs.gate_edge[gates[arc.lane]]
+        leave = qs.gate_edge[gates[(arc.lane + 1) % len(gates)]]
+        if arc.reverse:
+            enter, leave = leave, enter
+        arcs.append(_RArc(arc.disk, arc.lane, arc.depth, arc.reverse, len(steps), len(steps) + 1))
+        steps += ((enter, 1), (leave, -1), *ypath)
+    return steps, arcs
 
 
 def _rloop(qs: QuasiSurface, steps: list[EdgeStep], arcs: list[_RArc]) -> _RLoop:
@@ -354,7 +343,7 @@ def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoo
     and never memoized."""
     if isinstance(x, LaneDiagram):
         validate_diagram(qs, x)
-        return _realize_cyclic(qs, x)
+        return _rloop(qs, *_diagram_steps(qs, x))
     if isinstance(x, Word):
         c = canonical_conjugacy(x)
         rl = qs.realized.get(c)
@@ -400,31 +389,26 @@ def diagram_to_json(qs: QuasiSurface, d: LaneDiagram) -> dict:
 
 
 def diagram_from_json(qs: QuasiSurface, data: dict) -> LaneDiagram:
-    """A lane diagram read from JSON and validated.  Nothing is coerced:
-    ``disk``, ``lane``, ``depth`` and step signs must be integers (not
-    booleans), ``reverse`` a boolean and a step's edge token a string."""
+    """A lane diagram read from JSON, its edge tokens looked up, and
+    validated by :func:`validate_diagram`; nothing is coerced."""
     try:
-        arcs = []
-        for a in data.get("arcs", ()):
-            fields = (a["disk"], a["lane"], a["depth"], a.get("reverse", False))
-            if any(type(v) is not int for v in fields[:3]) or type(fields[3]) is not bool:
-                raise TypeError(f"an arc needs integer disk, lane and depth and a boolean reverse, got {a!r}")
-            arcs.append(DiskArc(*fields))
+        arcs = tuple(
+            DiskArc(a["disk"], a["lane"], a["depth"], a.get("reverse", False)) for a in data.get("arcs", ())
+        )
         paths = [[(token, s) for token, s in p] for p in data.get("paths", ())]
-        for token, s in (step for p in paths for step in p):
-            if type(token) is not str or type(s) is not int:
-                raise TypeError(f"a path step needs a string token and an integer sign, got {[token, s]!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed diagram: {exc}") from exc
     steps = []
     for p in paths:
         path = []
         for token, s in p:
+            if type(token) is not str:
+                raise ValueError(f"malformed diagram: an edge token is a string, got {token!r}")
             if token not in qs.token_to_edge:
                 raise ValueError(f"unknown generator token {token!r}")
             path.append((qs.token_to_edge[token], s))
         steps.append(tuple(path))
-    diagram = LaneDiagram(tuple(arcs), tuple(steps))
+    diagram = LaneDiagram(arcs, tuple(steps))
     validate_diagram(qs, diagram)
     return diagram
 

@@ -70,36 +70,44 @@ class QuasiSurfaceSpec:
     gluing: Mapping[str, str]
     basepoint: str
 
+    def __post_init__(self):
+        """Every spec, read from JSON or built in Python, is checked here
+        and nothing is coerced: disks, each disk's gates, vertices and
+        edges are lists or tuples (a string is never split into ids),
+        every edge a pair, the gluing a mapping, and every id (gate,
+        vertex, edge end, gluing key and value, basepoint) a string.  The
+        sequences are stored as tuples and the gluing as a dict."""
+        disks, vertices, edges, gluing = self.disks, self.vertices, self.edges, self.gluing
+        seq = (list, tuple)
+        if not isinstance(disks, seq) or not all(isinstance(gates, seq) for gates in disks):
+            raise ValueError("malformed quasi-surface spec: disks and their gates must be lists")
+        if not isinstance(vertices, seq) or not isinstance(edges, seq):
+            raise ValueError("malformed quasi-surface spec: vertices and edges must be lists")
+        for e in edges:
+            if not isinstance(e, seq) or len(e) != 2:
+                raise ValueError(f"malformed quasi-surface spec: an edge has two ends, got {e!r}")
+        if not isinstance(gluing, Mapping):
+            raise ValueError("malformed quasi-surface spec: gluing must be a mapping")
+        for ids in (*disks, vertices, *edges, gluing.keys(), gluing.values(), (self.basepoint,)):
+            for x in ids:
+                if type(x) is not str:
+                    raise ValueError(f"malformed quasi-surface spec: ids must be strings, got {x!r}")
+        put = object.__setattr__
+        put(self, "disks", tuple(map(tuple, disks)))
+        put(self, "vertices", tuple(vertices))
+        put(self, "edges", tuple(map(tuple, edges)))
+        put(self, "gluing", dict(gluing))
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiSurfaceSpec":
-        """A spec read from JSON.  Gates, vertices and edges are arrays,
-        every edge a pair, the gluing an object, and every id (gate,
-        vertex, edge end, gluing key and value, basepoint) a string;
-        anything else is a malformed spec."""
+        """A spec read from JSON; its fields are checked as every spec's are."""
         try:
-            if any(not isinstance(d["gates"], list) for d in data["disks"]):
-                raise ValueError("malformed quasi-surface spec: gates must be a list")
-            disks = tuple(tuple(d["gates"]) for d in data["disks"])
             graph = data["graph"]
-            vertices = graph["vertices"]
-            edges = graph.get("edges", [])
-            gluing = data["gluing"]
-            basepoint = data["basepoint"]
-        except (KeyError, IndexError, TypeError) as exc:
+            fields = ([d["gates"] for d in data["disks"]], graph["vertices"], graph.get("edges", []),
+                      data["gluing"], data["basepoint"])
+        except (AttributeError, KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"malformed quasi-surface spec: {exc}") from exc
-        if not isinstance(vertices, list) or not isinstance(edges, list):
-            raise ValueError("malformed quasi-surface spec: vertices and edges must be lists")
-        if not isinstance(gluing, dict):
-            raise ValueError("malformed quasi-surface spec: gluing must be an object")
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ValueError(f"malformed quasi-surface spec: an edge has two ends, got {e!r}")
-        ids = [*(g for gates in disks for g in gates), *vertices, *(v for e in edges for v in e),
-               *gluing.keys(), *gluing.values(), basepoint]
-        for x in ids:
-            if type(x) is not str:
-                raise ValueError(f"malformed quasi-surface spec: ids must be strings, got {x!r}")
-        return cls(disks, tuple(vertices), tuple((u, w) for u, w in edges), dict(gluing), basepoint)
+        return cls(*fields)
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,9 +163,7 @@ class QuasiSurface:
                 raise ValueError(f"duplicate gate id {g!r}")
             # a gate id is a loop token: "" and "1" spell the trivial loop, a
             # space splits a token, and "^-1" marks the reverse direction
-            if not isinstance(g, str) or g in ("", "1") or g.endswith("^-1") or any(
-                ch.isspace() for ch in g
-            ):
+            if g in ("", "1") or g.endswith("^-1") or any(ch.isspace() for ch in g):
                 raise ValueError(
                     f"gate id {g!r} is not a loop token: a gate id is a string, not empty"
                     " or 1, with no whitespace and not ending in ^-1"

@@ -138,9 +138,6 @@ class Word:
         """Return ``u w u^-1``."""
         return u * self * ~u
 
-    def key(self) -> Codes:
-        return self.codes
-
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
 
@@ -235,9 +232,6 @@ class ConjClass:
     def __hash__(self) -> int:
         return hash(self.word.codes)
 
-    def key(self) -> tuple:
-        return (len(self.word.codes), self.word.codes)
-
     def __repr__(self) -> str:
         return f"ConjClass({format_word(self.word)!r})"
 
@@ -249,10 +243,6 @@ def _class(codes: Codes) -> ConjClass:
     c = object.__new__(ConjClass)
     c.word = _word(codes)
     return c
-
-
-def word_is_trivial(word: Word) -> bool:
-    return not word.codes
 
 
 def canonical_conjugacy(w: Word) -> ConjClass:

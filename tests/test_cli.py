@@ -306,9 +306,10 @@ def qt2_arc(**fields):
 
 
 def test_malformed_diagram_input(capsys, tmp_path):
-    # a top-level list, a one-element path step and a step of sign 2 are
-    # malformed diagrams; so is any field of another JSON type, which is
-    # never coerced (a string "false" is not a boolean, 0.9 is not disk 0)
+    # a top-level list, a one-element path step, a step of sign 2 and a
+    # path step through a gate are malformed diagrams; so is any field of
+    # another JSON type, which is never coerced (a string "false" is not a
+    # boolean, 0.9 is not disk 0)
     for name, spec, data, y in (
         ("list", "qg1", [], "g1 g3^-1"),
         ("step", "qg1", {"paths": [[["g1"]]]}, "g1 g3^-1"),
@@ -322,6 +323,7 @@ def test_malformed_diagram_input(capsys, tmp_path):
         ("sign_float", "qy1", {"arcs": [], "paths": [[["e1", 1.5]]]}, "e1"),
         ("sign_bool", "qy1", {"arcs": [], "paths": [[["e1", True]]]}, "e1"),
         ("token_int", "qy1", {"arcs": [], "paths": [[[1, 1]]]}, "e1"),
+        ("gate_token", "qt2", {"arcs": [], "paths": [[["g1", 1], ["g2", -1]]]}, "g1 g2^-1"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")

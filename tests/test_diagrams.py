@@ -112,23 +112,40 @@ def test_dual_v_matches_abelianized_count():
             assert dual_v(qs, gate, d) == gate_dual(qs, gate, vec)
 
 
-def test_dual_v_examples(qt2):
+def test_dual_v_examples(qt2, qd2):
     z = qt2.parse_loop("g1 g2^-1")
     z2 = qt2.parse_loop("g1 g2^-1 g1 g2^-1")
     assert dual_v(qt2, "g1", z) == 1
     assert dual_v(qt2, "g1", z2) == 2
     with pytest.raises(ValueError, match="unknown gate"):
         dual_v(qt2, "g5", z)
-    # a malformed diagram: an unknown disk (either side of the range) or an
-    # out-of-range lane
+    # a malformed diagram: an unknown disk (either side of the range), an
+    # out-of-range lane, or an arc field of another type, which is never
+    # coerced (False is not disk 0, 1.5 is not a depth)
     for arc, message in (
         (DiskArc(5, 0, 1), "unknown disk 5"),
         (DiskArc(-1, 0, 1), "unknown disk -1"),
         (DiskArc(0, 2, 1), "lane 2 out of range"),
         (DiskArc(0, -1, 1), "lane -1 out of range"),
+        (DiskArc(0, 0.0, 1), "^malformed diagram: an arc needs"),
+        (DiskArc(False, 0, 1), "^malformed diagram: an arc needs"),
+        (DiskArc(0, 0, True), "^malformed diagram: an arc needs"),
+        (DiskArc(0, 0, 1.5), "^malformed diagram: an arc needs"),
+        (DiskArc(0, 0, 1, "no"), "^malformed diagram: an arc needs"),
     ):
         with pytest.raises(ValueError, match=message):
             dual_v(qt2, "g1", LaneDiagram((arc,), ((),)))
+    # a path step off the graph edges: a negative index would be read from
+    # the end (e1 e2^-1 on qd2 as the trivial class), and a gate edge
+    # belongs to an arc
+    for qs, path in (
+        (qd2, ((-7, 1), (-6, -1))),
+        (qd2, ((99, 1),)),
+        (qd2, ((2, 1), (3, -1))),
+        (qt2, ((0, 1), (1, -1))),
+    ):
+        with pytest.raises(ValueError, match="^malformed diagram: path step edge"):
+            dual_v(qs, qs.gates[0], LaneDiagram((), (path,)))
 
 
 def test_combine_generic_block_order(qt2):
@@ -309,7 +326,7 @@ def pure_graph_class(rng, qs, max_len):
 
 def test_direct_realization_equals_diagram_route():
     # a class is realized by walking its cyclic edge path; the reference is
-    # the lane diagram route, through validate_diagram and _realize_cyclic
+    # the lane diagram route, through validate_diagram and _diagram_steps
     rng = random.Random(41)
     graph_loops = 0
     for _ in range(150):

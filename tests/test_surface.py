@@ -148,6 +148,20 @@ def test_malformed_spec(qt2):
     for bad in MALFORMED_SPECS.values():
         with pytest.raises(ValueError, match="^malformed quasi-surface spec: "):
             QuasiSurfaceSpec.from_json_dict(bad)
+    # a spec built in Python is checked as one read from JSON: a string is
+    # not split into ids, and every id is a string
+    fields = dict(disks=(("a", "b"),), vertices=("v",), edges=(), gluing={"a": "v", "b": "v"}, basepoint="v")
+    for changes in (
+        {"disks": ("ab",)},
+        {"vertices": "v"},
+        {"vertices": ("v", "w"), "edges": ("vw",)},
+        {"vertices": ("v", 1)},
+        {"vertices": (["v"],)},
+        {"basepoint": 1},
+        {"gluing": {"a": "v", "b": 1}},
+    ):
+        with pytest.raises(ValueError, match="^malformed quasi-surface spec: "):
+            build(QuasiSurfaceSpec(**{**fields, **changes}))
 
 
 def test_parse_loop_rejects_open_paths(qg1):
