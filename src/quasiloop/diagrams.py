@@ -113,14 +113,22 @@ class ExplicitDiagram:
 
 def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
     """Check a lane diagram, read from JSON or built in Python alike;
-    nothing is coerced.  Every path step is the ``int`` index of a graph
-    edge with an ``int`` sign of +-1; an arc-free diagram carries at most
-    one path and any other one path per arc; every arc has ``int`` (not
+    nothing is coerced.  Arcs and paths are tuples, each path a tuple of
+    steps; every step is a pair of the ``int`` index of a graph edge and an
+    ``int`` sign of +-1; an arc-free diagram carries at most one path and
+    any other one path per arc; every arc is a ``DiskArc`` with ``int`` (not
     ``bool``) disk, lane and depth in range, a ``bool`` ``reverse`` and a
     depth of its own in its lane; and the closed step sequence of
     :func:`_diagram_steps` chains and closes."""
+    if not isinstance(d.arcs, tuple) or not isinstance(d.paths, tuple):
+        raise ValueError(f"malformed diagram: arcs and paths are tuples, got {d!r}")
     for path in d.paths:
-        for e, sign in path:
+        if not isinstance(path, tuple):
+            raise ValueError(f"malformed diagram: a path is a tuple of (edge, sign) steps, got {path!r}")
+        for step in path:
+            if not isinstance(step, tuple) or len(step) != 2:
+                raise ValueError(f"malformed diagram: a path step is an (edge, sign) pair, got {step!r}")
+            e, sign = step
             if type(sign) is not int or not (sign == 1 or sign == -1):
                 raise ValueError(f"malformed diagram: path step sign must be +1 or -1, got {sign!r}")
             if type(e) is not int or not 0 <= e < qs.n_y_edges:
@@ -134,6 +142,8 @@ def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
         raise ValueError("need exactly one connecting path per arc")
     seen_depths: set[tuple[int, int, int]] = set()
     for arc in d.arcs:
+        if not isinstance(arc, DiskArc):
+            raise ValueError(f"malformed diagram: an arc is a DiskArc, got {arc!r}")
         if any(type(v) is not int for v in (arc.disk, arc.lane, arc.depth)) or type(arc.reverse) is not bool:
             raise ValueError(
                 f"malformed diagram: an arc needs integer disk, lane and depth and a boolean reverse, got {arc!r}"

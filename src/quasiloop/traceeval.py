@@ -9,20 +9,24 @@ exact rational arithmetic gives zero-false-positive checks.
 
 Words are evaluated in integers.  A point keeps each image and each
 inverse once, as a flat row-major integer tuple over a common
-denominator, and multiplies them with kernels generated and compiled
-once per dimension (up to ``_UNROLL_MAX``; generic loops above it).  A
-word's trace takes one product fewer than its matrix: the last factor
-is met by the trace pairing ``tr(a b)``.  ``eval_trace`` sums a
-combination over one common denominator and builds one ``Fraction``.
+denominator.  ``RepresentationPoint.create`` reaches that table in one
+fraction-free elimination per image, of ``[N | I]`` for the image's
+integer form ``N / d``, with no ``Fraction`` round trip; the public
+``Fraction`` matrices are built from it.  Words multiply the table's
+entries with kernels generated and compiled once per dimension (up to
+``_UNROLL_MAX``; generic loops above it).  A word's trace takes one
+product fewer than its matrix: the last factor is met by the trace
+pairing ``tr(a b)``.  ``eval_trace`` sums a combination over one common
+denominator and builds one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
@@ -122,7 +126,9 @@ def _bareiss(rows: list, n: int) -> int:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place, on
     the first ``n`` columns of integer rows; returns det of that block ``N``.
     Every entry stays a minor, so each division is exact.  If det != 0 the
-    block ends as ``p*I`` (``p = +-det``) and any further column c as ``p N^-1 c``."""
+    block ends as ``p*I`` (``p = +-det``) and any further column c as ``p N^-1 c``.
+    A row with nothing to eliminate (``row[k] == 0``) is only rescaled,
+    ``p * x // prev``, and kept as it is when ``p == prev``."""
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if rows[r][k]), None)
@@ -136,9 +142,59 @@ def _bareiss(rows: list, n: int) -> int:
         for i, row in enumerate(rows):
             if i != k:
                 f = row[k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                if f:
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                elif p != prev:
+                    rows[i] = [p * x // prev for x in row]
         prev = p
     return sign * prev
+
+
+def _invert(num: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], int]:
+    """The inverse of ``N / d`` for a square integer matrix ``N``, as a flat
+    row-major numerator over a positive denominator in lowest terms (what
+    ``_split`` gives for it), from one elimination of ``[N | I]``; raises
+    if ``N`` is singular."""
+    n = len(num)
+    rows = [list(row) + [0] * n for row in num]
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    if not _bareiss(rows, n):
+        raise ValueError("matrix is not invertible")
+    p = rows[0][0]  # (N / d)^-1 = d N^-1 = (d / p) * the right block
+    flat = [x for row in rows for x in row[n:]]
+    if d != 1:
+        flat = [d * x for x in flat]
+    g = gcd(p, *flat)
+    if p < 0:
+        g = -g
+    if g != 1:
+        flat = [x // g for x in flat]
+    return tuple(flat), p // g
+
+
+class _IntFractions(dict):
+    """``Fraction(k)`` by ``[k]`` for an int ``k``.  One in ``[-64, 64]`` is
+    kept on first use and shared after (a ``Fraction`` is immutable);
+    integer unimodular points have small entries: all 156,000 image and
+    inverse entries of 200 trace_points ops (seed 5) lie in [-16, 16]."""
+
+    def __missing__(self, k: int) -> Fraction:
+        f = Fraction(k)
+        if -64 <= k <= 64:
+            self[k] = f
+        return f
+
+
+_INT_FRACTIONS = _IntFractions()
+
+
+def _fractions(flat: Sequence[int], d: int, n: int) -> Matrix:
+    """The n x n ``Fraction`` matrix of a flat row-major numerator over ``d``."""
+    if d == 1:
+        get = _INT_FRACTIONS.__getitem__
+        return tuple(tuple(map(get, flat[i : i + n])) for i in range(0, n * n, n))
+    return tuple(tuple(Fraction(x, d) for x in flat[i : i + n]) for i in range(0, n * n, n))
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -151,16 +207,28 @@ def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by integer elimination; raises on a singular or
     non-square matrix."""
     num, d = _split_square(a)
-    n = len(num)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(num)]
-    if not _bareiss(rows, n):
-        raise ValueError("matrix is not invertible")
-    p = rows[0][0]  # a^-1 = d * N^-1 = (d / p) * the right block
-    return tuple(tuple(Fraction(d * x, p) for x in row[n:]) for row in rows)
+    return _fractions(*_invert(num, d), len(num))
 
 
-def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _entry(x, g: int) -> Fraction:
+    """An image entry of generator ``g`` as a ``Fraction``: an ``int`` (not a
+    ``bool``), a ``Fraction`` or a string such as ``"1/2"``."""
+    kind = type(x)
+    if kind is Fraction:
+        return x
+    if kind is int:
+        return _INT_FRACTIONS[x]
+    if kind is str:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"malformed representation: g{g + 1} has an entry that is not a rational number: {x!r}"
+            ) from None
+    raise ValueError(
+        f"malformed representation: g{g + 1} has an entry that is not an integer, a Fraction"
+        f" or a string: {x!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -168,36 +236,45 @@ class RepresentationPoint:
     """Invertible rational matrices assigned to the free generators, each
     (and its inverse) also kept under its letter code as a flat row-major
     integer tuple over a common denominator, so that a word is evaluated
-    by integer products (``_kernels``) and one division."""
+    by integer products (``_kernels``) and one division.  ``create``
+    passes that letter table in as ``_table``; a point built from
+    ``images`` and ``inverses`` alone (or by ``dataclasses.replace``)
+    derives it from them."""
 
     n: int
     images: tuple[Matrix, ...]
     inverses: tuple[Matrix, ...]
+    _table: InitVar[dict | None] = field(default=None, kw_only=True)
     _letters: dict = field(init=False, repr=False, compare=False)
     _ops: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        def flat(m: Matrix) -> tuple[tuple[int, ...], int]:
-            num, d = _split(m)
-            return tuple(x for row in num for x in row), d
+    def __post_init__(self, _table):
+        if _table is None:
+            def flat(m: Matrix) -> tuple[tuple[int, ...], int]:
+                num, d = _split(m)
+                return tuple(x for row in num for x in row), d
 
-        letters = {2 * g: flat(m) for g, m in enumerate(self.images)}
-        letters.update((2 * g + 1, flat(m)) for g, m in enumerate(self.inverses))
-        object.__setattr__(self, "_letters", letters)
+            _table = {2 * g: flat(m) for g, m in enumerate(self.images)}
+            _table.update((2 * g + 1, flat(m)) for g, m in enumerate(self.inverses))
+        object.__setattr__(self, "_letters", _table)
         object.__setattr__(self, "_ops", _kernels(self.n))
 
     @classmethod
     def create(cls, n: int, images: Sequence[Sequence[Sequence]]) -> "RepresentationPoint":
         """Each image is a list or tuple of rows, and each row a list or
         tuple of entries (a string row would be read one character at a
-        time).  Entries are integers, ``Fraction``s or strings such as
-        ``"1/2"``.  A ``float`` entry (which would be read as its binary
-        value), a ``bool`` entry and an ``n`` that is not an ``int`` are
-        rejected."""
+        time).  Entries are ``int``s, ``Fraction``s or strings such as
+        ``"1/2"``; anything else (a ``float``, which would be read as its
+        binary value, a ``bool``, a ``Decimal``, ``None``) is rejected, as
+        is an ``n`` that is not an ``int``.  Each image is split once into
+        integers over a denominator (an all-``int`` image is its own
+        numerator) and inverted by one elimination, which gives both the
+        letter table and the public ``Fraction`` matrices."""
         if type(n) is not int:
             raise ValueError(f"malformed representation: n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"malformed representation: n must be >= 1, got {n}")
+        split = []
         for g, rows in enumerate(images):
             if not isinstance(rows, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in rows
@@ -206,16 +283,21 @@ class RepresentationPoint:
                     f"malformed representation: the image of g{g + 1} must be an array of rows,"
                     f" each an array of entries, got {rows!r}"
                 )
-            if any(isinstance(x, (bool, float)) for row in rows for x in row):
-                raise ValueError(
-                    f"malformed representation: g{g + 1} has an entry that is not an integer or a string"
-                )
-        mats = tuple(_as_matrix(m) for m in images)
-        for m in mats:
+            if {type(x) for row in rows for x in row} <= {int}:
+                m = tuple(tuple(map(_INT_FRACTIONS.__getitem__, row)) for row in rows)
+                split.append((m, rows, 1))
+            else:
+                m = tuple(tuple(_entry(x, g) for x in row) for row in rows)
+                split.append((m, *_split(m)))
+        for m, _, _ in split:
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"expected {n}x{n} matrices")
-        inverses = tuple(mat_inverse(m) for m in mats)
-        return cls(n, mats, inverses)
+        inverses, letters = [], {}
+        for g, (_, num, d) in enumerate(split):
+            letters[2 * g] = tuple(x for row in num for x in row), d
+            letters[2 * g + 1] = inverse = _invert(num, d)
+            inverses.append(_fractions(*inverse, n))
+        return cls(n, tuple(m for m, _, _ in split), tuple(inverses), _table=letters)
 
     @property
     def rank(self) -> int:
@@ -253,9 +335,7 @@ class RepresentationPoint:
         factors = self._factors(w.codes)
         if not factors:
             return mat_identity(self.n)
-        acc, d = self._product(factors)
-        n = self.n
-        return tuple(tuple(Fraction(x, d) for x in acc[i : i + n]) for i in range(0, n * n, n))
+        return _fractions(*self._product(factors), self.n)
 
     def trace_word(self, w: Word) -> Fraction:
         return Fraction(*self._word_trace(w.codes))
@@ -303,7 +383,7 @@ class RepresentationPoint:
                     raise ValueError(f"generator token {token!r} out of range")
                 images[idx] = rows
             return cls.create(n, images)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed representation: {exc}") from exc
 
 
@@ -331,7 +411,7 @@ def random_unimodular(n: int, seed, det_one: bool = False) -> Matrix:
     if not det_one and rng.random() < 0.5:
         for row in m:  # m <- m diag(-1, 1, ..., 1)
             row[0] = -row[0]
-    return _as_matrix(m)
+    return tuple(tuple(map(Fraction, row)) for row in m)
 
 
 def random_representation(

@@ -191,8 +191,9 @@ def test_trace_eval_rep_without_n(capsys, tmp_path):
         {"n": True, "images": {"g1": [["3"]]}},
         {"n": 1.9, "images": {"g1": [["3"]]}},
         {"n": 1, "images": {"g1": [[0.1]]}},
+        {"n": 1, "images": {"g1": [["x"]]}},
     ],
-    ids=["zero_denominator", "n_zero", "bool_entry", "bool_n", "float_n", "float_entry"],
+    ids=["zero_denominator", "n_zero", "bool_entry", "bool_n", "float_n", "float_entry", "not_a_number"],
 )
 def test_trace_eval_malformed_rep(capsys, tmp_path, rep):
     path = tmp_path / "rep.json"

@@ -120,8 +120,9 @@ def test_dual_v_examples(qt2, qd2):
     with pytest.raises(ValueError, match="unknown gate"):
         dual_v(qt2, "g5", z)
     # a malformed diagram: an unknown disk (either side of the range), an
-    # out-of-range lane, or an arc field of another type, which is never
-    # coerced (False is not disk 0, 1.5 is not a depth)
+    # out-of-range lane, an arc field of another type, which is never
+    # coerced (False is not disk 0, 1.5 is not a depth), or an arc that is
+    # a plain tuple
     for arc, message in (
         (DiskArc(5, 0, 1), "unknown disk 5"),
         (DiskArc(-1, 0, 1), "unknown disk -1"),
@@ -132,20 +133,27 @@ def test_dual_v_examples(qt2, qd2):
         (DiskArc(0, 0, True), "^malformed diagram: an arc needs"),
         (DiskArc(0, 0, 1.5), "^malformed diagram: an arc needs"),
         (DiskArc(0, 0, 1, "no"), "^malformed diagram: an arc needs"),
+        ((0, 0, 1), "^malformed diagram: an arc is a DiskArc"),
     ):
         with pytest.raises(ValueError, match=message):
             dual_v(qt2, "g1", LaneDiagram((arc,), ((),)))
     # a path step off the graph edges: a negative index would be read from
     # the end (e1 e2^-1 on qd2 as the trivial class), and a gate edge
-    # belongs to an arc
-    for qs, path in (
-        (qd2, ((-7, 1), (-6, -1))),
-        (qd2, ((99, 1),)),
-        (qd2, ((2, 1), (3, -1))),
-        (qt2, ((0, 1), (1, -1))),
+    # belongs to an arc; and paths of the wrong shape: one step given as
+    # the path, a step that is not a pair, a string of paths, a list path
+    for qs, paths, message in (
+        (qd2, (((-7, 1), (-6, -1)),), "path step edge"),
+        (qd2, (((99, 1),),), "path step edge"),
+        (qd2, (((2, 1), (3, -1)),), "path step edge"),
+        (qt2, (((0, 1), (1, -1)),), "path step edge"),
+        (qd2, ((0, 1),), "a path step is an .edge, sign. pair, got 0$"),
+        (qd2, ((5,),), "a path step is an .edge, sign. pair, got 5$"),
+        (qd2, (((5,),),), "a path step is an .edge, sign. pair, got .5,.$"),
+        (qd2, "ab", "arcs and paths are tuples"),
+        (qd2, ([(0, 1)],), "a path is a tuple"),
     ):
-        with pytest.raises(ValueError, match="^malformed diagram: path step edge"):
-            dual_v(qs, qs.gates[0], LaneDiagram((), (path,)))
+        with pytest.raises(ValueError, match="^malformed diagram: " + message):
+            dual_v(qs, qs.gates[0], LaneDiagram((), paths))
 
 
 def test_combine_generic_block_order(qt2):

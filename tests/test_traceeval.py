@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,14 @@ def test_create_rejects_inexact_input():
         (True, [[[3]]]),
         (1.0, [[[3]]]),
         ("1", [[[3]]]),
+        # an entry is an int, a Fraction or a string naming a rational; the
+        # first three once ended in a bare ZeroDivisionError, TypeError and
+        # unprefixed ValueError, and a Decimal was taken
+        (1, [[["1/0"]]]),
+        (1, [[[None]]]),
+        (1, [[["x"]]]),
+        (1, [[[Decimal("0.5")]]]),
+        (2, [[[1, 0], [0, 1]], [[1, 0], [Fraction(1, 2), "1/0"]]]),
     ):
         with pytest.raises(ValueError, match="^malformed representation: "):
             RepresentationPoint.create(n, images)
@@ -297,9 +306,21 @@ def test_integer_route_equals_fraction_route():
     points = [(n, [random_unimodular(n, rng) for _ in range(3)]) for n in sizes]
     points += [(n, [_rational_matrix(rng, n) for _ in range(3)]) for n in (1, 2, 3) for _ in range(4)]
     points += [(n, [_rational_matrix(rng, n) for _ in range(3)]) for n in (4, _UNROLL_MAX, _UNROLL_MAX + 1)]
+    # rows the elimination only rescales or keeps (a zero multiplier, with
+    # p != prev and with p == prev), det -1, and inverses whose common
+    # denominator needs the gcd step (diag(2, 4) has inverse diag(2, 1) / 4)
+    points += [
+        (2, [((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((2, 0), (0, 4))]),
+        (3, [((2, 1, 0), (1, 2, 0), (0, 0, 1)), ((2, 0, 0), (0, 3, 0), (0, 0, 5)), ((0, 0, 1), (1, 0, 0), (0, 1, 0))]),
+        (3, [((0, 1, 0), (1, 0, 0), (0, 0, -1)), (("1/2", 0, 0), (0, "-2/3", 0), (0, 0, 6)), ((0, 2, 0), (0, 0, 2), (2, 0, 0))]),
+        (4, [((0, 0, 0, 3), (0, 0, 2, 0), (0, 5, 0, 0), (7, 0, 0, 0)), ((1, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)), ((3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 2))]),
+    ]
     for n, images in points:
         rho = RepresentationPoint.create(n, images)
         assert (n in _KERNELS) == (n <= _UNROLL_MAX)
+        # create fills the letter table in one elimination per image; it is
+        # the table a point built from its Fraction matrices derives
+        assert rho._letters == RepresentationPoint(n, rho.images, rho.inverses)._letters
         identity = mat_identity(n)
         for m, inv in zip(rho.images, rho.inverses):
             if n <= 6:
