@@ -18,7 +18,6 @@ from . import quasilie as QL
 from .diagrams import LaneDiagram, diagram_from_json, diagram_to_word, parse_omega
 from .fixtures import FIXTURE_NAMES, fixture_spec
 from .homotopy import bullet, gate_brace_geometric, second_bracket
-from .selftest import ACCEPTANCE_COUNTS, ALL_SUITES, DEFAULT_COUNTS
 from .surface import QuasiSurface, build, load_spec
 from .traceeval import RepresentationPoint, load_representation
 from .words import ConjClass
@@ -192,6 +191,10 @@ def _maybe_trace(args, qs: QuasiSurface, payload: dict, value) -> None:
 
 
 def cmd_selftest(args) -> int:
+    # imported here, so that no other command loads the suites and their
+    # random case generators
+    from .selftest import ACCEPTANCE_COUNTS, ALL_SUITES, DEFAULT_COUNTS
+
     if args.cases is not None and args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
     counts = dict(ACCEPTANCE_COUNTS if args.full else DEFAULT_COUNTS)

@@ -21,15 +21,14 @@ orients crossing signs for the intersection forms downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from ._value import FrozenValue, Value
 from .surface import EdgePath, EdgeStep, QuasiSurface
 from .words import Codes, ConjClass, Word, _reduce, _word, canonical_conjugacy
 
 
-@dataclass(frozen=True)
-class DiskArc:
+class DiskArc(FrozenValue):
     """An embedded arc hugging lane ``lane`` of disk ``disk`` at ``depth``.
 
     Lane ``i`` runs counterclockwise from the gate at position ``i`` to
@@ -38,14 +37,13 @@ class DiskArc:
     ``reverse`` swaps that.
     """
 
-    disk: int
-    lane: int
-    depth: int
-    reverse: bool = False
+    _fields = ("disk", "lane", "depth", "reverse")
+
+    def __init__(self, disk: int, lane: int, depth: int, reverse: bool = False):
+        self._assign(disk, lane, depth, reverse)
 
 
-@dataclass(frozen=True)
-class LaneDiagram:
+class LaneDiagram(FrozenValue):
     """A loop in lane normal form.
 
     ``paths[i]`` is the (possibly empty) edge path in Y from the exit
@@ -54,28 +52,29 @@ class LaneDiagram:
     empty diagram is the trivial loop.
     """
 
-    arcs: tuple[DiskArc, ...]
-    paths: tuple[EdgePath, ...]
+    _fields = ("arcs", "paths")
+
+    def __init__(self, arcs: tuple[DiskArc, ...], paths: tuple[EdgePath, ...]):
+        self._assign(arcs, paths)
 
     def is_empty(self) -> bool:
         return not self.arcs and not self.paths
 
 
-@dataclass(frozen=True)
-class SurfaceCrossing:
+class SurfaceCrossing(FrozenValue):
     """A declared transversal crossing between two arcs in one disk.
 
-    ``sign`` is the crossing sign of the ordered pair (first loop, second
-    loop); using the crossing with the loops swapped negates it.
+    ``first`` and ``second`` are (loop index, arc index) pairs.  ``sign``
+    is the crossing sign of the ordered pair (first loop, second loop);
+    using the crossing with the loops swapped negates it.
     """
 
-    first: tuple[int, int]  # (loop index, arc index)
-    second: tuple[int, int]
-    sign: int
+    _fields = ("first", "second", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, first: tuple[int, int], second: tuple[int, int], sign: int):
+        if sign not in (1, -1):
             raise ValueError("crossing sign must be +1 or -1")
+        self._assign(first, second, sign)
 
     def oriented(self, loop_a: int, loop_b: int) -> "int | None":
         """Sign of this crossing for the ordered loop pair (a, b), if it joins them."""
@@ -86,8 +85,7 @@ class SurfaceCrossing:
         return None
 
 
-@dataclass(frozen=True)
-class ExplicitDiagram:
+class ExplicitDiagram(FrozenValue):
     """A family of lane diagrams with explicitly declared surface crossings.
 
     Planar realizability of the declaration is not validated; invariance
@@ -95,20 +93,20 @@ class ExplicitDiagram:
     itself.
     """
 
-    loops: tuple[LaneDiagram, ...]
-    crossings: tuple[SurfaceCrossing, ...]
+    _fields = ("loops", "crossings")
 
-    def __post_init__(self):
-        for c in self.crossings:
+    def __init__(self, loops: tuple[LaneDiagram, ...], crossings: tuple[SurfaceCrossing, ...]):
+        for c in crossings:
             for loop_idx, arc_idx in (c.first, c.second):
-                if not 0 <= loop_idx < len(self.loops):
+                if not 0 <= loop_idx < len(loops):
                     raise ValueError(f"crossing references unknown loop {loop_idx}")
-                if not 0 <= arc_idx < len(self.loops[loop_idx].arcs):
+                if not 0 <= arc_idx < len(loops[loop_idx].arcs):
                     raise ValueError(f"crossing references unknown arc {arc_idx} of loop {loop_idx}")
-            disk_a = self.loops[c.first[0]].arcs[c.first[1]].disk
-            disk_b = self.loops[c.second[0]].arcs[c.second[1]].disk
+            disk_a = loops[c.first[0]].arcs[c.first[1]].disk
+            disk_b = loops[c.second[0]].arcs[c.second[1]].disk
             if disk_a != disk_b:
                 raise ValueError("a crossing must join two arcs of one disk")
+        self._assign(loops, crossings)
 
 
 def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
@@ -165,14 +163,16 @@ def validate_diagram(qs: QuasiSurface, d: LaneDiagram) -> None:
 # --- realized loops ----------------------------------------------------
 
 
-@dataclass
-class _RArc:
-    disk: int
-    lane: int
-    depth: int
-    reverse: bool
-    entry_pos: int
-    exit_pos: int
+class _RArc(Value):
+    _fields = ("disk", "lane", "depth", "reverse", "entry_pos", "exit_pos")
+
+    def __init__(self, disk: int, lane: int, depth: int, reverse: bool, entry_pos: int, exit_pos: int):
+        self.disk = disk
+        self.lane = lane
+        self.depth = depth
+        self.reverse = reverse
+        self.entry_pos = entry_pos
+        self.exit_pos = exit_pos
 
     def start_side(self, entry: bool) -> bool:
         """Whether the arc's entry (or exit) crossing lies on the start
@@ -183,8 +183,7 @@ class _RArc:
         return entry != self.reverse
 
 
-@dataclass
-class _RLoop:
+class _RLoop(Value):
     """A realized loop.  Its letter codes are collapsed and its gate endpoints
     listed once, and the codes of its rotation words are cached on it, so
     the one realization of a class on a surface (:func:`realize_loop`)
@@ -192,12 +191,23 @@ class _RLoop:
     so nothing changes it after :func:`_rloop` builds it; ``rotations``
     only caches."""
 
-    edge_path: EdgePath  # detours included; positions below index into it
-    arcs: list[_RArc]
-    codes: Codes  # the letter codes of edge_path, unreduced
-    before: list[int]  # before[i]: the number of codes in edge_path[:i]
-    crossings: list[list[tuple[int, bool]]]  # crossings[k]: (arc, entry) at gate k
-    rotations: dict[int, Codes] = field(default_factory=dict)
+    _fields = ("edge_path", "arcs", "codes", "before", "crossings", "rotations")
+
+    def __init__(
+        self,
+        edge_path: EdgePath,
+        arcs: list[_RArc],
+        codes: Codes,
+        before: list[int],
+        crossings: list[list[tuple[int, bool]]],
+        rotations: dict[int, Codes] | None = None,
+    ):
+        self.edge_path = edge_path  # detours included; positions below index into it
+        self.arcs = arcs
+        self.codes = codes  # the letter codes of edge_path, unreduced
+        self.before = before  # before[i]: the number of codes in edge_path[:i]
+        self.crossings = crossings  # crossings[k]: (arc, entry) at gate k
+        self.rotations = {} if rotations is None else rotations
 
     def cut(self, arc: int, entry: bool) -> int:
         """Where a gate crossing cuts the loop: at the arc's entry letter
@@ -432,14 +442,13 @@ def dual_v(qs: QuasiSurface, gate: str, d: "LaneDiagram | ConjClass | Word") -> 
 # --- generic families --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossingRef:
+class CrossingRef(FrozenValue):
     """One gate crossing of one loop in a family: an arc's entry or exit."""
 
-    loop: int
-    arc: int
-    entry: bool
-    sign: int
+    _fields = ("loop", "arc", "entry", "sign")
+
+    def __init__(self, loop: int, arc: int, entry: bool, sign: int):
+        self._assign(loop, arc, entry, sign)
 
 
 class GenericFamily:

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from ..surface import QuasiSurface, QuasiSurfaceSpec, build
 
@@ -24,8 +24,8 @@ FIXTURE_NAMES = ("qt2", "qg1", "qd2", "qy1")
 def fixture_spec(name: str) -> QuasiSurfaceSpec:
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files(__package__).joinpath(f"{name}.json").read_text("utf-8")
-    return QuasiSurfaceSpec.from_json_dict(json.loads(text))
+    with open(os.path.join(os.path.dirname(__file__), f"{name}.json"), encoding="utf-8") as fh:
+        return QuasiSurfaceSpec.from_json_dict(json.load(fh))
 
 
 def fixture(name: str) -> QuasiSurface:

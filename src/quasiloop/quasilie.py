@@ -12,9 +12,9 @@ associativity defects and localize a hypothetical failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import FrozenValue
 from .diagrams import opposite, parse_omega
 from .homotopy import _brace_codes, _bracket_codes, _gate_factor, _side_table, bullet
 from .ring import LoopCombination
@@ -58,10 +58,11 @@ def jacobiator(qs: QuasiSurface, x, y, z) -> LoopCombination:
     return LoopCombination._from_codes(_jacobiator_codes(qs, {}, *tables))
 
 
-@dataclass(frozen=True)
-class QuasiJacobiReport:
-    lhs: LoopCombination
-    rhs: LoopCombination
+class QuasiJacobiReport(FrozenValue):
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: LoopCombination, rhs: LoopCombination):
+        self._assign(lhs, rhs)
 
     @property
     def difference(self) -> LoopCombination:
@@ -90,14 +91,19 @@ def s_bracket(qs: QuasiSurface, x, y, z) -> LoopCombination:
     return LoopCombination._from_codes(_jacobiator_codes(qs, terms, tx, ty, tz, -1))
 
 
-@dataclass(frozen=True)
-class PandUDiagnostics:
-    p_xyz: LoopCombination
-    u_omega: LoopCombination
-    u_omega_bar: LoopCombination
-    jacobiator: LoopCombination
-    p_decomposes: bool      # P(x,y,z) = u_omega + u_omega_bar
-    jacobiator_matches: bool  # Jacobiator = P(x,y,z) - P(y,x,z)
+class PandUDiagnostics(FrozenValue):
+    _fields = ("p_xyz", "u_omega", "u_omega_bar", "jacobiator", "p_decomposes", "jacobiator_matches")
+
+    def __init__(
+        self,
+        p_xyz: LoopCombination,
+        u_omega: LoopCombination,
+        u_omega_bar: LoopCombination,
+        jacobiator: LoopCombination,
+        p_decomposes: bool,  # P(x,y,z) = u_omega + u_omega_bar
+        jacobiator_matches: bool,  # Jacobiator = P(x,y,z) - P(y,x,z)
+    ):
+        self._assign(p_xyz, u_omega, u_omega_bar, jacobiator, p_decomposes, jacobiator_matches)
 
 
 def p_and_u_diagnostics(

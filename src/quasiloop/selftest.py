@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import homology as H
 from . import quasilie as QL
+from ._value import Value
 from .diagrams import (
     DiskArc,
     ExplicitDiagram,
@@ -49,16 +49,17 @@ from .words import canonical_conjugacy
 MAX_DUMPS = 3
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
-    warning: str | None = None
+class SuiteResult(Value):
+    _fields = ("name", "cases", "failures", "warning")
 
-    def __post_init__(self):
-        if self.cases < 0:
-            raise ValueError(f"{self.name}: case count must be >= 0, got {self.cases}")
+    def __init__(self, name: str, cases: int, failures: list[str] | None = None,
+                 warning: str | None = None):
+        if cases < 0:
+            raise ValueError(f"{name}: case count must be >= 0, got {cases}")
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.warning = warning
 
     @property
     def passed(self) -> bool:

@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._value import FrozenValue
 from .fox import FoxDerivative
 from .ring import GroupRingElement
 from .words import (
@@ -54,8 +54,7 @@ EdgeStep = tuple[int, int]
 EdgePath = tuple[EdgeStep, ...]
 
 
-@dataclass(frozen=True)
-class QuasiSurfaceSpec:
+class QuasiSurfaceSpec(FrozenValue):
     """Raw description of a quasi-surface before validation.
 
     ``disks`` lists each disk's gate ids in counterclockwise boundary
@@ -64,20 +63,22 @@ class QuasiSurfaceSpec:
     every gate id to a Y-vertex id; ``basepoint`` is a Y-vertex id.
     """
 
-    disks: tuple[tuple[str, ...], ...]
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    gluing: Mapping[str, str]
-    basepoint: str
+    _fields = ("disks", "vertices", "edges", "gluing", "basepoint")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        disks: Sequence[Sequence[str]],
+        vertices: Sequence[str],
+        edges: Sequence[Sequence[str]],
+        gluing: Mapping[str, str],
+        basepoint: str,
+    ):
         """Every spec, read from JSON or built in Python, is checked here
         and nothing is coerced: disks, each disk's gates, vertices and
         edges are lists or tuples (a string is never split into ids),
         every edge a pair, the gluing a mapping, and every id (gate,
         vertex, edge end, gluing key and value, basepoint) a string.  The
         sequences are stored as tuples and the gluing as a dict."""
-        disks, vertices, edges, gluing = self.disks, self.vertices, self.edges, self.gluing
         seq = (list, tuple)
         if not isinstance(disks, seq) or not all(isinstance(gates, seq) for gates in disks):
             raise ValueError("malformed quasi-surface spec: disks and their gates must be lists")
@@ -88,15 +89,13 @@ class QuasiSurfaceSpec:
                 raise ValueError(f"malformed quasi-surface spec: an edge has two ends, got {e!r}")
         if not isinstance(gluing, Mapping):
             raise ValueError("malformed quasi-surface spec: gluing must be a mapping")
-        for ids in (*disks, vertices, *edges, gluing.keys(), gluing.values(), (self.basepoint,)):
+        for ids in (*disks, vertices, *edges, gluing.keys(), gluing.values(), (basepoint,)):
             for x in ids:
                 if type(x) is not str:
                     raise ValueError(f"malformed quasi-surface spec: ids must be strings, got {x!r}")
-        put = object.__setattr__
-        put(self, "disks", tuple(map(tuple, disks)))
-        put(self, "vertices", tuple(vertices))
-        put(self, "edges", tuple(map(tuple, edges)))
-        put(self, "gluing", dict(gluing))
+        self._assign(
+            tuple(map(tuple, disks)), tuple(vertices), tuple(map(tuple, edges)), dict(gluing), basepoint
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiSurfaceSpec":
@@ -126,12 +125,12 @@ def load_spec(path: str) -> QuasiSurfaceSpec:
         return QuasiSurfaceSpec.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class _Edge:
-    name: str
-    source: int
-    target: int
-    gate: int | None = None  # gate index for gate edges, None for Y edges
+class _Edge(FrozenValue):
+    _fields = ("name", "source", "target", "gate")
+
+    def __init__(self, name: str, source: int, target: int, gate: int | None = None):
+        # gate: the gate index for gate edges, None for Y edges
+        self._assign(name, source, target, gate)
 
 
 class QuasiSurface:

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
+from ._value import FrozenValue
 from .homotopy import kk_pairing
 from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
@@ -205,8 +205,11 @@ def mat_det(a: Matrix) -> Fraction:
 
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by integer elimination; raises on a singular or
-    non-square matrix."""
+    non-square matrix.  The 0 x 0 matrix, of determinant 1, is its own
+    inverse."""
     num, d = _split_square(a)
+    if not num:
+        return ()
     return _fractions(*_invert(num, d), len(num))
 
 
@@ -231,38 +234,36 @@ def _entry(x, g: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class RepresentationPoint:
+class RepresentationPoint(FrozenValue):
     """Invertible rational matrices assigned to the free generators, each
     (and its inverse) also kept under its letter code as a flat row-major
     integer tuple over a common denominator, so that a word is evaluated
     by integer products (``_kernels``) and one division.  ``create``
     passes that letter table in as ``_table``; a point built from
-    ``images`` and ``inverses`` alone (or by ``dataclasses.replace``)
-    derives it from them."""
+    ``images`` and ``inverses`` alone (as a changed copy of another point
+    is) derives it from them.  Equality, hash and ``repr`` read ``n``,
+    ``images`` and ``inverses`` only."""
 
-    n: int
-    images: tuple[Matrix, ...]
-    inverses: tuple[Matrix, ...]
-    _table: InitVar[dict | None] = field(default=None, kw_only=True)
-    _letters: dict = field(init=False, repr=False, compare=False)
-    _ops: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("n", "images", "inverses")
 
-    def __post_init__(self, _table):
+    def __init__(self, n: int, images: tuple[Matrix, ...], inverses: tuple[Matrix, ...], *,
+                 _table: dict | None = None):
         if _table is None:
             def flat(m: Matrix) -> tuple[tuple[int, ...], int]:
                 num, d = _split(m)
                 return tuple(x for row in num for x in row), d
 
-            _table = {2 * g: flat(m) for g, m in enumerate(self.images)}
-            _table.update((2 * g + 1, flat(m)) for g, m in enumerate(self.inverses))
+            _table = {2 * g: flat(m) for g, m in enumerate(images)}
+            _table.update((2 * g + 1, flat(m)) for g, m in enumerate(inverses))
+        self._assign(n, images, inverses)
         object.__setattr__(self, "_letters", _table)
-        object.__setattr__(self, "_ops", _kernels(self.n))
+        object.__setattr__(self, "_ops", _kernels(n))
 
     @classmethod
     def create(cls, n: int, images: Sequence[Sequence[Sequence]]) -> "RepresentationPoint":
-        """Each image is a list or tuple of rows, and each row a list or
-        tuple of entries (a string row would be read one character at a
+        """``images`` is a list or tuple of images, one per generator.  Each
+        image is a list or tuple of rows, and each row a list or tuple of
+        entries (a string row would be read one character at a
         time).  Entries are ``int``s, ``Fraction``s or strings such as
         ``"1/2"``; anything else (a ``float``, which would be read as its
         binary value, a ``bool``, a ``Decimal``, ``None``) is rejected, as
@@ -274,6 +275,10 @@ class RepresentationPoint:
             raise ValueError(f"malformed representation: n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"malformed representation: n must be >= 1, got {n}")
+        if not isinstance(images, (list, tuple)):
+            raise ValueError(
+                f"malformed representation: the images must be an array of matrices, got {images!r}"
+            )
         split = []
         for g, rows in enumerate(images):
             if not isinstance(rows, (list, tuple)) or not all(
@@ -437,10 +442,11 @@ def random_representation(
     return RepresentationPoint.create(n, images)
 
 
-@dataclass(frozen=True)
-class DerivationReport:
-    lhs: Fraction
-    rhs: Fraction
+class DerivationReport(FrozenValue):
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction):
+        self._assign(lhs, rhs)
 
     @property
     def equal(self) -> bool:

@@ -404,56 +404,43 @@ def test_bracket_omega_independent(capsys):
 # ``-B`` so the run leaves no bytecode behind), per Python version.  Every one-shot call pays for it; a module joins
 # only with measured ``setup_s`` pairs, and then these sets grow with it.
 _CLI_STDLIB_311 = frozenset({
-    "__future__", "_ast", "_bisect", "_bz2", "_collections", "_collections_abc",
-    "_compression", "_decimal", "_functools", "_json", "_lzma", "_opcode", "_operator",
-    "_random", "_sha512", "_sre", "_stat", "_typing", "_weakrefset", "argparse", "ast",
-    "bisect", "bz2", "collections", "collections.abc", "contextlib", "copy", "copyreg",
-    "dataclasses", "decimal", "dis", "enum", "errno", "fnmatch", "fractions",
-    "functools", "genericpath", "gettext", "importlib", "importlib._bootstrap",
-    "importlib._bootstrap_external", "importlib.machinery", "importlib.resources",
-    "importlib.resources._adapters", "importlib.resources._common",
-    "importlib.resources._legacy", "importlib.resources.abc", "inspect", "ipaddress",
-    "itertools", "json", "json.decoder", "json.encoder", "json.scanner", "keyword",
-    "linecache", "lzma", "math", "ntpath", "numbers", "opcode", "operator", "os",
-    "os.path", "pathlib", "posixpath", "random", "re", "re._casefix", "re._compiler",
-    "re._constants", "re._parser", "reprlib", "shutil", "stat", "tempfile", "token",
-    "tokenize", "types", "typing", "typing.io", "typing.re", "urllib", "urllib.parse",
-    "warnings", "weakref", "zlib",
+    "__future__", "_bisect", "_collections", "_collections_abc", "_decimal", "_functools",
+    "_json", "_operator", "_random", "_sha512", "_sre", "_stat", "_typing", "_weakrefset",
+    "argparse", "bisect", "collections", "collections.abc", "contextlib", "copyreg",
+    "decimal", "enum", "fractions", "functools", "genericpath", "gettext", "itertools",
+    "json", "json.decoder", "json.encoder", "json.scanner", "keyword", "math", "numbers",
+    "operator", "os", "os.path", "posixpath", "random", "re", "re._casefix", "re._compiler",
+    "re._constants", "re._parser", "reprlib", "stat", "types", "typing", "typing.io",
+    "typing.re", "warnings", "weakref",
 })
 CLI_STDLIB_IMPORTS = {
     (3, 10): _CLI_STDLIB_311 - {
-        "_typing", "importlib.resources._adapters", "importlib.resources._common",
-        "importlib.resources._legacy", "importlib.resources.abc", "ipaddress",
-        "re._casefix", "re._compiler", "re._constants", "re._parser",
-    } | {
-        "_locale", "importlib._abc", "importlib._adapters", "importlib._common",
-        "importlib.abc", "sre_compile", "sre_constants", "sre_parse",
-    },
+        "_typing", "re._casefix", "re._compiler", "re._constants", "re._parser",
+    } | {"_locale", "sre_compile", "sre_constants", "sre_parse"},
     (3, 11): _CLI_STDLIB_311,
-    (3, 12): _CLI_STDLIB_311 - {"_sha512"} | {"_sha2", "_tokenize"},
-    (3, 13): _CLI_STDLIB_311 - {
-        "_sha512", "importlib.resources._adapters", "importlib.resources._legacy",
-        "ipaddress", "linecache", "typing.io", "typing.re", "urllib", "urllib.parse",
-    } | {
-        "_opcode_metadata", "_tokenize", "glob", "grp", "importlib.resources._functional",
-        "pathlib._abc", "pathlib._local", "pwd",
-    },
+    (3, 12): _CLI_STDLIB_311 - {"_sha512"} | {"_sha2"},
+    (3, 13): _CLI_STDLIB_311 - {"_sha512", "contextlib", "typing.io", "typing.re", "warnings"},
 }
+
+
+def _cli_import_graph() -> list[str]:
+    """The modules ``import quasiloop.cli`` adds on a bare interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import quasiloop.cli; print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, src],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
 
 
 def test_cli_import_loads_only_stdlib_and_package():
     # the runtime is stdlib only, and the CLI's import graph is what every
     # one-shot call pays for; on a Python version with a pinned set, no
     # module outside it joins
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import quasiloop.cli; print('\\n'.join(sorted(set(sys.modules) - before)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code, src],
-        capture_output=True, text=True, check=True,
-    ).stdout.split()
+    out = _cli_import_graph()
     assert "quasiloop.cli" in out
     foreign = [
         m for m in out
@@ -464,3 +451,14 @@ def test_cli_import_loads_only_stdlib_and_package():
     if pinned is not None:
         new = [m for m in out if m.split(".")[0] != "quasiloop" and m not in pinned]
         assert new == []
+
+
+def test_cli_import_skips_code_generation_and_the_suites():
+    # dataclasses (which loads inspect) compiled generated methods on every
+    # import, and only the selftest command needs the suites; the package
+    # import still loads every module the benchmark's tracer looks up
+    out = set(_cli_import_graph())
+    assert not out & {"dataclasses", "inspect", "quasiloop.selftest", "quasiloop.randomcase"}
+    wrapped = ("words", "ring", "fox", "surface", "diagrams", "homology", "homotopy", "quasilie",
+               "traceeval")
+    assert {f"quasiloop.{m}" for m in wrapped} <= out

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 
@@ -488,7 +487,7 @@ def test_lane_diagrams_are_never_memoized(monkeypatch):
     z = qs.parse_loop("g1 g2^-1 g1 g2^-1")
     d = word_to_diagram(qs, z)
     assert [a.depth for a in d.arcs] == [1, 2]
-    swapped = LaneDiagram(tuple(dataclasses.replace(a, depth=3 - a.depth) for a in d.arcs), d.paths)
+    swapped = LaneDiagram(tuple(DiskArc(a.disk, a.lane, 3 - a.depth, a.reverse) for a in d.arcs), d.paths)
     entries = len(qs.realized)
     validated = []
     real_validate = diagrams.validate_diagram

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -618,7 +617,8 @@ def _memo_snapshot(qs):
     """A copy of every memoized realization; holding it keeps its classes,
     and so their entries, alive."""
     return {
-        c: (tuple(dataclasses.astuple(a) for a in rl.arcs), rl.codes, tuple(rl.before),
+        c: (tuple((a.disk, a.lane, a.depth, a.reverse, a.entry_pos, a.exit_pos) for a in rl.arcs),
+            rl.codes, tuple(rl.before),
             tuple(tuple(at_gate) for at_gate in rl.crossings))
         for c, rl in qs.realized.items()
     }

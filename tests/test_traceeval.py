@@ -112,6 +112,14 @@ def test_create_rejects_rows_that_are_not_arrays():
     assert RepresentationPoint.create(1, ((("5",),),)).images == (((Fraction(5),),),)
 
 
+def test_create_rejects_images_that_are_not_an_array():
+    # None and 5 ended in a bare TypeError ("... object is not iterable"),
+    # and a dict was read as its keys
+    for images in (None, 5, {"g1": [[2]]}):
+        with pytest.raises(ValueError, match="^malformed representation: the images must be an array"):
+            RepresentationPoint.create(1, images)
+
+
 def test_missing_generator_image(qt2):
     rho = RepresentationPoint.create(1, [[[2]]])
     with pytest.raises(ValueError, match="no matrix image"):
@@ -231,6 +239,10 @@ def test_random_unimodular_deterministic():
 def test_matrix_helpers():
     m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
     assert mat_mul(m, mat_inverse(m)) == mat_identity(2)
+    # the 0 x 0 matrix is square, of determinant 1 and its own inverse; its
+    # inverse ended in a bare IndexError
+    assert mat_det(()) == 1
+    assert mat_inverse(()) == ()
 
 
 def test_non_square_matrix_rejected():
