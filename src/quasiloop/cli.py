@@ -193,20 +193,15 @@ def _maybe_trace(args, qs: QuasiSurface, payload: dict, value) -> None:
 def cmd_selftest(args) -> int:
     # imported here, so that no other command loads the suites and their
     # random case generators
-    from .selftest import ACCEPTANCE_COUNTS, ALL_SUITES, DEFAULT_COUNTS
+    from .selftest import SUITE_COUNTS
 
     if args.cases is not None and args.cases < 0:
         raise ValueError(f"--cases must be >= 0, got {args.cases}")
-    counts = dict(ACCEPTANCE_COUNTS if args.full else DEFAULT_COUNTS)
-    if args.cases is not None:
-        counts = {name: args.cases for name in counts}
-        counts["suite_fixture_values"] = min(1, args.cases)
     reports = []
-    all_ok = True
-    for suite in ALL_SUITES:
-        result = suite(args.seed, counts.get(suite.__name__, 0))
-        reports.append(result.to_json_dict())
-        all_ok = all_ok and result.passed
+    for suite, full, default in SUITE_COUNTS:
+        cases = args.cases if args.cases is not None else full if args.full else default
+        reports.append(suite(args.seed, cases).to_json_dict())
+    all_ok = all(report["passed"] for report in reports)
     payload = {"operation": "selftest", "seed": args.seed, "passed": all_ok, "suites": reports}
     return _emit(args, payload, ok=all_ok)
 

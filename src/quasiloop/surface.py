@@ -25,6 +25,7 @@ only used by the algebra layer.
 from __future__ import annotations
 
 import json
+import types
 import weakref
 from collections import deque
 from typing import Iterable, Mapping, Sequence
@@ -78,7 +79,8 @@ class QuasiSurfaceSpec(FrozenValue):
         edges are lists or tuples (a string is never split into ids),
         every edge a pair, the gluing a mapping, and every id (gate,
         vertex, edge end, gluing key and value, basepoint) a string.  The
-        sequences are stored as tuples and the gluing as a dict."""
+        sequences are stored as tuples and the gluing as a read-only view
+        of the spec's own copy, so that a built spec cannot change."""
         seq = (list, tuple)
         if not isinstance(disks, seq) or not all(isinstance(gates, seq) for gates in disks):
             raise ValueError("malformed quasi-surface spec: disks and their gates must be lists")
@@ -94,8 +96,13 @@ class QuasiSurfaceSpec(FrozenValue):
                 if type(x) is not str:
                     raise ValueError(f"malformed quasi-surface spec: ids must be strings, got {x!r}")
         self._assign(
-            tuple(map(tuple, disks)), tuple(vertices), tuple(map(tuple, edges)), dict(gluing), basepoint
+            tuple(map(tuple, disks)), tuple(vertices), tuple(map(tuple, edges)),
+            types.MappingProxyType(dict(gluing)), basepoint
         )
+
+    def __reduce__(self):
+        # a read-only view cannot be pickled or copied; its dict can
+        return type(self), (self.disks, self.vertices, self.edges, dict(self.gluing), self.basepoint)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiSurfaceSpec":

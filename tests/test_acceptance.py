@@ -5,6 +5,9 @@ Each criterion runs a seeded suite at full scale with tolerance zero
 ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the lines).
 """
 
+import ast
+from pathlib import Path
+
 from quasiloop import selftest as S
 from quasiloop.diagrams import dual_v, word_to_diagram
 from quasiloop.fixtures import qt2
@@ -66,6 +69,17 @@ def test_criterion_8_derivation_certificates():
 def test_criterion_9_trace_descent():
     _run(9, S.suite_trace_descent, 50,
          "evaluated symmetries, quasi-Jacobi, n=1 and determinant-one certificates")
+
+
+def test_selftest_full_runs_the_acceptance_counts():
+    # `selftest --full` reads the table's acceptance counts: they are the
+    # literals of the criteria above, and criterion 10 is one worked case
+    calls = [node for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run"]
+    literals = {call.args[1].attr: call.args[2].value for call in calls}
+    table = {suite.__name__: full for suite, full, _ in S.SUITE_COUNTS}
+    assert len(literals) == len(calls) == 9
+    assert table == {**literals, "suite_fixture_values": 1}
 
 
 # --- criterion 10: the worked two-gate fixture table ---------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -102,6 +104,25 @@ def test_basepoint_must_be_a_graph_vertex():
 def test_spec_json_round_trip(qd2):
     data = qd2.spec.to_json_dict()
     assert QuasiSurfaceSpec.from_json_dict(data) == qd2.spec
+
+
+def test_built_spec_gluing_is_read_only(qg1):
+    # the gluing was a plain dict: assigning to it changed the saved spec
+    # (to_json_dict) but not the built surface (summary and every form)
+    gluing = {"g1": "v1", "g2": "v2", "g3": "v1", "g4": "v2"}
+    with pytest.raises(TypeError):
+        qg1.spec.gluing["g1"] = "v2"
+    assert qg1.spec.to_json_dict()["gluing"] == gluing
+    assert qg1.summary()["gates"][0]["vertex"] == "v1"
+    with pytest.raises(TypeError):
+        hash(qg1.spec)
+    # the spec keeps its own copy, and pickles and copies to an equal spec
+    given = dict(gluing)
+    spec = QuasiSurfaceSpec(qg1.spec.disks, qg1.spec.vertices, (), given, "v1")
+    given["g1"] = "v2"
+    assert spec == qg1.spec
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert twin == spec and type(twin.gluing) is type(spec.gluing)
 
 
 def qd2_data(**changes):

@@ -44,8 +44,8 @@ VALUES = [
      ("loop", "arc", "entry", "sign")),
     (
         QuasiSurfaceSpec([["g1"]], ["v"], [], {"g1": "v"}, "v"),
-        "QuasiSurfaceSpec(disks=(('g1',),), vertices=('v',), edges=(), gluing={'g1': 'v'},"
-        " basepoint='v')",
+        "QuasiSurfaceSpec(disks=(('g1',),), vertices=('v',), edges=(),"
+        " gluing=mappingproxy({'g1': 'v'}), basepoint='v')",
         ("disks", "vertices", "edges", "gluing", "basepoint"),
     ),
     (QuasiJacobiReport(ZERO, ZERO), "QuasiJacobiReport(lhs=LoopCombination(0), rhs=LoopCombination(0))",
@@ -100,7 +100,7 @@ def test_frozen_values_hash_as_their_fields_and_refuse_changes(value, text, name
     fields = tuple(getattr(value, name) for name in names)
     try:
         expected = hash(fields)
-    except TypeError:  # a spec holds its gluing as a dict, as the dataclass did
+    except TypeError:  # a spec holds its gluing as a read-only view of a dict
         with pytest.raises(TypeError):
             hash(value)
     else:
