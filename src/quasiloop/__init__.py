@@ -10,7 +10,7 @@ and at rational matrix representation points.
 
 __version__ = "0.1.0"
 
-from .words import ConjClass, Word, abelianize, canonical_conjugacy, commutator
+from .words import ConjClass, Word, abelianize, canonical_conjugacy
 from .ring import GroupRingElement, LoopCombination, project_to_classes
 from .fox import FoxDerivative, algebraic_brace, sandwich_derivation
 from .surface import QuasiSurface, QuasiSurfaceSpec, build, load_spec
@@ -70,7 +70,6 @@ __all__ = [
     "bullet",
     "canonical_conjugacy",
     "combine_generic",
-    "commutator",
     "delta3",
     "delta3_companion",
     "delta_sign",

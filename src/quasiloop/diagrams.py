@@ -21,7 +21,7 @@ orients crossing signs for the intersection forms downstream.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._value import FrozenValue, Value
 from .surface import EdgePath, EdgeStep, QuasiSurface
@@ -56,9 +56,6 @@ class LaneDiagram(FrozenValue):
 
     def __init__(self, arcs: tuple[DiskArc, ...], paths: tuple[EdgePath, ...]):
         self._assign(arcs, paths)
-
-    def is_empty(self) -> bool:
-        return not self.arcs and not self.paths
 
 
 class SurfaceCrossing(FrozenValue):

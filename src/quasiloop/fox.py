@@ -17,7 +17,7 @@ bracket computations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .ring import GroupRingElement, LoopCombination, project_to_classes
 from .words import ConjClass, Word, _token_number, _word
@@ -30,13 +30,6 @@ class FoxDerivative:
 
     def __init__(self, images: Sequence[GroupRingElement]):
         self.images = tuple(images)
-
-    @classmethod
-    def partial(cls, rank: int, g: int) -> "FoxDerivative":
-        """The coordinate derivative sending generator ``g`` to 1 and the rest to 0."""
-        images = [GroupRingElement.zero()] * rank
-        images[g] = GroupRingElement.one()
-        return cls(images)
 
     @property
     def rank(self) -> int:
@@ -68,13 +61,6 @@ class FoxDerivative:
                 prefix = _word(codes[:i])
                 for u, c in img:
                     yield prefix * u, c
-
-    def apply(self, x: "GroupRingElement | Word") -> GroupRingElement:
-        if isinstance(x, Word):
-            return self.apply_word(x)
-        return GroupRingElement.collect(
-            (u, c * b) for w, c in x.terms.items() for u, b in self._word_terms(w)
-        )
 
     def delta_word(self, w: Word) -> GroupRingElement:
         """The companion map: expand d(w) = sum (w/a) a and return sum (w/a) a^-1 w a."""

@@ -14,7 +14,7 @@ the orientation dependence.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .diagrams import (
     ExplicitDiagram,
@@ -125,13 +125,12 @@ def _build_gram(qs: QuasiSurface) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def gram_matrix(qs: QuasiSurface, omega: "str | Sequence[int] | None" = None) -> list[list[int]]:
+def gram_matrix(qs: QuasiSurface) -> list[list[int]]:
     """Gram matrix of the orientation-independent pairing on the generator
-    basis: ``first_form(omega; x, y) - first_form(omega; y, x)``, in which
-    only the opposite-side pairs survive, ``sum_k S_k(x) E_k(y) - S_k(y) E_k(x)``.
-    It is computed once per surface, each generator realized once; every
-    call returns fresh lists.  ``omega`` is validated and otherwise unused."""
-    parse_omega(qs, omega)
+    basis: ``first_form(omega; x, y) - first_form(omega; y, x)`` for any
+    orientation ``omega``, in which only the opposite-side pairs survive,
+    ``sum_k S_k(x) E_k(y) - S_k(y) E_k(x)``.  It is computed once per
+    surface, each generator realized once; every call returns fresh lists."""
     return [list(row) for row in _matrix(qs, _build_gram)]
 
 

@@ -27,7 +27,7 @@ derivative, the engine's standing cross-check.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .diagrams import (
     ExplicitDiagram,

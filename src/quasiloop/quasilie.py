@@ -12,7 +12,7 @@ associativity defects and localize a hypothetical failure.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import FrozenValue
 from .diagrams import opposite, parse_omega

@@ -11,7 +11,7 @@ zero coefficient; sums of many terms go through :meth:`collect`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .words import Codes, ConjClass, Word, _class, canonical_conjugacy, format_word, parse_word
 
@@ -141,10 +141,6 @@ class GroupRingElement(_Combination):
 
     def right_mul(self, w: Word) -> "GroupRingElement":
         return GroupRingElement({u * w: c for u, c in self.terms.items()})
-
-    def augmentation(self) -> int:
-        """Sum of coefficients (image under the map sending every group element to 1)."""
-        return sum(self.terms.values())
 
 
 class LoopCombination(_Combination):

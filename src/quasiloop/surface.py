@@ -28,7 +28,7 @@ import json
 import types
 import weakref
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from ._value import FrozenValue
 from .fox import FoxDerivative

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Mapping, Sequence
 
 from ._value import FrozenValue
 from .homotopy import kk_pairing

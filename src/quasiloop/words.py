@@ -33,7 +33,7 @@ intentionally not provided.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 Letter = tuple[int, int]
 Codes = tuple[int, ...]
@@ -102,9 +102,6 @@ class Word:
         """The word as ``(g, s)`` pairs, decoded on every read."""
         return decode(self.codes)
 
-    def is_identity(self) -> bool:
-        return not self.codes
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -133,10 +130,6 @@ class Word:
         for _ in range(n):
             result = result * self
         return result
-
-    def conjugated_by(self, u: "Word") -> "Word":
-        """Return ``u w u^-1``."""
-        return u * self * ~u
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -167,10 +160,6 @@ def _graft(a: Codes, b: Codes) -> Codes:
     rotation.  Checks nothing and builds no :class:`Word`; equal to
     ``canonical_conjugacy(_word(a) * _word(b)).word.codes``."""
     return minimal_rotation(cyclic_reduction(_product(a, b)))
-
-
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * ~a * ~b
 
 
 def cyclic_reduction(codes: Codes) -> Codes:

@@ -53,6 +53,27 @@ def test_validate_malformed_json(capsys, tmp_path):
     assert json.loads(err)["error"].startswith("malformed quasi-surface spec: ")
 
 
+def test_deeply_nested_json_is_one_line_error(capsys, tmp_path):
+    # json.load recurses once per level; a spec, a representation point or
+    # a diagram nested deeper than the interpreter allows is refused.  The
+    # depth is past every version's limit (the recursion limit up to 3.11,
+    # a C recursion count in 3.12 and 3.13, the stack guard from 3.14); the
+    # message is not checked, since its wording differs between versions
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    for argv in (
+        ("validate", "--spec", str(path)),
+        ("trace-eval", "--spec", "fixture:qg1", "--rep", str(path), "--expr", "g1"),
+        ("bracket", "--spec", "fixture:qg1", "--x", f"@{path}", "--y", "g1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert isinstance(json.loads(err)["error"], str)
+
+
 def test_validate_disconnected(capsys, tmp_path):
     spec = fixture_spec("qt2").to_json_dict()
     spec["graph"]["vertices"].append("lonely")
@@ -455,10 +476,13 @@ def test_cli_import_loads_only_stdlib_and_package():
 
 def test_cli_import_skips_code_generation_and_the_suites():
     # dataclasses (which loads inspect) compiled generated methods on every
-    # import, and only the selftest command needs the suites; the package
-    # import still loads every module the benchmark's tracer looks up
+    # import, typing serves only annotations, and only the selftest command
+    # needs the suites; the package import still loads every module the
+    # benchmark's tracer looks up
     out = set(_cli_import_graph())
-    assert not out & {"dataclasses", "inspect", "quasiloop.selftest", "quasiloop.randomcase"}
+    assert not out & {
+        "dataclasses", "inspect", "typing", "quasiloop.selftest", "quasiloop.randomcase"
+    }
     wrapped = ("words", "ring", "fox", "surface", "diagrams", "homology", "homotopy", "quasilie",
                "traceeval")
     assert {f"quasiloop.{m}" for m in wrapped} <= out

@@ -53,7 +53,7 @@ def test_opposite_passage_uses_other_lane(qt2):
 
 def test_trivial_class_gives_empty_diagram(qt2):
     d = word_to_diagram(qt2, qt2.parse_loop(""))
-    assert d.is_empty()
+    assert d == LaneDiagram((), ())
     assert diagram_to_word(qt2, d).is_trivial()
 
 

@@ -449,12 +449,9 @@ def test_operations_are_linear_in_every_slot():
         words = [random_word(rng, qs.rank, max_len=4) for _ in range(3)]
         coeffs = [rng.choice((-2, 1, 2)) for _ in words]
         G = GroupRingElement.collect(zip(words, coeffs))
-        expect_apply = GroupRingElement.zero()
         expect_delta = GroupRingElement.zero()
         for v, c in G:
-            expect_apply = expect_apply + c * d.apply_word(v)
             expect_delta = expect_delta + c * d.delta_word(v)
-        assert d.apply(G) == expect_apply
         assert d.delta(G) == expect_delta
         assert d.delta(X) == _weighted_sum(
             GroupRingElement.zero(), ((d.delta(xi), ai) for xi, ai in zip(xs, a))
@@ -578,7 +575,6 @@ def test_pair_forms_equal_crossing_pair_sums():
         gens = [Word.generator(i) for i in range(qs.rank)]
         raw = [[pair_count(qs, omega, a, b) for b in gens] for a in gens]
         expected = [[raw[i][j] - raw[j][i] for j in range(qs.rank)] for i in range(qs.rank)]
-        assert gram_matrix(qs, omega) == expected
         assert gram_matrix(qs) == expected
         nonzero["gram"] += any(any(row) for row in expected)
     # 178, 65 and 121 nonzero when written

@@ -73,10 +73,6 @@ def test_projection_is_trace_like(x, y):
     assert project_to_classes(x * y) == project_to_classes(y * x)
 
 
-def test_augmentation():
-    assert elem((2, W((0, 1))), (3, W())).augmentation() == 5
-
-
 def test_serialization_round_trip():
     x = elem((2, W((0, 1), (1, -1))), (-1, W()))
     assert GroupRingElement.from_pairs(x.to_pairs()) == x

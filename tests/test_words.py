@@ -11,7 +11,6 @@ from quasiloop.words import (
     _word,
     abelianize,
     canonical_conjugacy,
-    commutator,
     cyclic_reduction,
     decode,
     encode,
@@ -43,7 +42,7 @@ def test_reduce_inner_cancellation():
 
 def test_reduce_empty():
     assert Word() == Word(())
-    assert Word().is_identity()
+    assert not Word()
 
 
 def test_mul_and_inverse():
@@ -76,7 +75,7 @@ def test_positive_sign_sorts_before_negative():
 
 @given(words_st, words_st)
 def test_conjugation_invariance(u, w):
-    assert canonical_conjugacy(w.conjugated_by(u)) == canonical_conjugacy(w)
+    assert canonical_conjugacy(u * w * ~u) == canonical_conjugacy(w)
 
 
 @given(words_st)
@@ -86,7 +85,7 @@ def test_class_representative_round_trip(w):
 
 
 def test_abelianize_commutator_vanishes():
-    assert abelianize(commutator(W((0, 1)), W((1, 1))), 2) == (0, 0)
+    assert abelianize(W((0, 1)) * W((1, 1)) * W((0, -1)) * W((1, -1)), 2) == (0, 0)
 
 
 def test_abelianize_counts_exponents():
@@ -97,7 +96,7 @@ def test_abelianize_counts_exponents():
 @given(words_st, words_st)
 def test_abelianize_factors_through_conjugacy(u, w):
     rank = 4
-    assert abelianize(w.conjugated_by(u), rank) == abelianize(
+    assert abelianize(u * w * ~u, rank) == abelianize(
         canonical_conjugacy(w).representative(), rank
     )
 
