@@ -17,7 +17,16 @@ entries with kernels generated and compiled once per dimension (up to
 ``_UNROLL_MAX``; generic loops above it).  A word's trace takes one
 product fewer than its matrix: the last factor is met by the trace
 pairing ``tr(a b)``.  ``eval_trace`` sums a combination over one common
-denominator and builds one ``Fraction``.
+denominator and returns one ``Fraction``.
+
+Each point memoizes its word traces: a private dict from a word's code
+tuple to its trace's numerator and denominator, filled on first
+evaluation, so the terms that the two sides of a law share are traced
+once per point.  The memo is not a field (equality, hash and ``repr``
+ignore it), has no bound and lives as long as its point; a point built
+from ``images`` and ``inverses`` starts with an empty one.  Pickling and
+copying rebuild a point from ``(n, images, inverses)``, so neither its
+kernels nor its memo travel.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ import json
 import random
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from ._value import FrozenValue
 from .homotopy import kk_pairing
@@ -51,11 +61,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 def _split(a: Matrix) -> tuple[IntMatrix, int]:
     """Integer matrix ``N`` and positive common denominator ``d`` with ``a = N / d``."""
-    d = lcm(*(x.denominator for row in a for x in row))
+    d = lcm(*map(_denominator, chain.from_iterable(a)))
     if d == 1:
-        return tuple(tuple(x.numerator for x in row) for row in a), 1
+        return tuple(tuple(map(_numerator, row)) for row in a), 1
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
 
 
@@ -128,11 +142,15 @@ def _bareiss(rows: list, n: int) -> int:
     Every entry stays a minor, so each division is exact.  If det != 0 the
     block ends as ``p*I`` (``p = +-det``) and any further column c as ``p N^-1 c``.
     A row with nothing to eliminate (``row[k] == 0``) is only rescaled,
-    ``p * x // prev``, and kept as it is when ``p == prev``."""
+    ``p * x // prev``, and kept as it is when ``p == prev``.  A division
+    by ``prev == 1`` and a product by ``p == 1`` are skipped; they would
+    leave every integer as it is."""
     sign, prev = 1, 1
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
+        for pivot in range(k, n):
+            if rows[pivot][k]:
+                break
+        else:
             return 0
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
@@ -140,12 +158,18 @@ def _bareiss(rows: list, n: int) -> int:
         top = rows[k]
         p = top[k]
         for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                if f:
-                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-                elif p != prev:
-                    rows[i] = [p * x // prev for x in row]
+            if i == k:
+                continue
+            f = row[k]
+            if not f:
+                if p != prev:
+                    rows[i] = [p * x // prev for x in row] if prev != 1 else [p * x for x in row]
+            elif prev != 1:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != 1:
+                rows[i] = [p * x - f * y for x, y in zip(row, top)]
+            else:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
         prev = p
     return sign * prev
 
@@ -200,7 +224,8 @@ def _fractions(flat: Sequence[int], d: int, n: int) -> Matrix:
 def mat_det(a: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     num, d = _split_square(a)
-    return Fraction(_bareiss(list(num), len(num)), d ** len(num))
+    det = _bareiss(list(num), len(num))
+    return _INT_FRACTIONS[det] if d == 1 else Fraction(det, d ** len(num))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -213,15 +238,34 @@ def mat_inverse(a: Matrix) -> Matrix:
     return _fractions(*_invert(num, d), len(num))
 
 
+# The largest decimal exponent a string entry may carry.  ``Fraction``
+# builds ``10 ** exponent`` before anything else, so ``"1e999999999"`` would
+# take minutes and gigabytes; 4300 is the default limit on the digits of an
+# int read from a string, which already bounds every other part of an entry.
+_MAX_EXPONENT = 4300
+
+
 def _entry(x, g: int) -> Fraction:
     """An image entry of generator ``g`` as a ``Fraction``: an ``int`` (not a
-    ``bool``), a ``Fraction`` or a string such as ``"1/2"``."""
+    ``bool``), a ``Fraction`` or a string such as ``"1/2"`` or ``"2.5e-3"``
+    whose exponent is at most ``_MAX_EXPONENT`` in absolute value."""
     kind = type(x)
     if kind is Fraction:
         return x
     if kind is int:
         return _INT_FRACTIONS[x]
     if kind is str:
+        _, e, exponent = x.lower().rpartition("e")
+        if e:
+            try:
+                too_large = abs(int(exponent)) > _MAX_EXPONENT
+            except ValueError:  # not an integer: Fraction refuses the entry below
+                too_large = False
+            if too_large:
+                raise ValueError(
+                    f"malformed representation: g{g + 1} has an entry whose exponent is beyond"
+                    f" +-{_MAX_EXPONENT}: {x!r}"
+                )
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -241,8 +285,10 @@ class RepresentationPoint(FrozenValue):
     by integer products (``_kernels``) and one division.  ``create``
     passes that letter table in as ``_table``; a point built from
     ``images`` and ``inverses`` alone (as a changed copy of another point
-    is) derives it from them.  Equality, hash and ``repr`` read ``n``,
-    ``images`` and ``inverses`` only."""
+    is) derives it from them.  Word traces are memoized per point, under
+    the word's code tuple, in ``_traces``.  Equality, hash and ``repr``
+    read ``n``, ``images`` and ``inverses`` only, and pickling and copying
+    rebuild the point from them."""
 
     _fields = ("n", "images", "inverses")
 
@@ -251,13 +297,19 @@ class RepresentationPoint(FrozenValue):
         if _table is None:
             def flat(m: Matrix) -> tuple[tuple[int, ...], int]:
                 num, d = _split(m)
-                return tuple(x for row in num for x in row), d
+                return tuple(chain.from_iterable(num)), d
 
             _table = {2 * g: flat(m) for g, m in enumerate(images)}
             _table.update((2 * g + 1, flat(m)) for g, m in enumerate(inverses))
         self._assign(n, images, inverses)
         object.__setattr__(self, "_letters", _table)
         object.__setattr__(self, "_ops", _kernels(n))
+        object.__setattr__(self, "_traces", {})
+
+    def __reduce__(self):
+        # the kernels may be local functions, which cannot be pickled, and
+        # the letter table and memo are derived from the fields
+        return type(self), (self.n, self.images, self.inverses)
 
     @classmethod
     def create(cls, n: int, images: Sequence[Sequence[Sequence]]) -> "RepresentationPoint":
@@ -299,7 +351,7 @@ class RepresentationPoint(FrozenValue):
                 raise ValueError(f"expected {n}x{n} matrices")
         inverses, letters = [], {}
         for g, (_, num, d) in enumerate(split):
-            letters[2 * g] = tuple(x for row in num for x in row), d
+            letters[2 * g] = tuple(chain.from_iterable(num)), d
             letters[2 * g + 1] = inverse = _invert(num, d)
             inverses.append(_fractions(*inverse, n))
         return cls(n, tuple(m for m, _, _ in split), tuple(inverses), _table=letters)
@@ -325,16 +377,25 @@ class RepresentationPoint(FrozenValue):
 
     def _word_trace(self, codes: tuple[int, ...]) -> tuple[int, int]:
         """Numerator and denominator of the word's trace: the product of all
-        factors but the last, then the trace pairing with the last."""
+        factors but the last, then the trace pairing with the last.  It is
+        computed once per point and kept in ``_traces``; a word with a
+        letter that has no image raises and is not kept."""
+        trace = self._traces.get(codes)
+        if trace is not None:
+            return trace
         factors = self._factors(codes)
         if len(factors) < 2:
             if not factors:
-                return self.n, 1
-            num, d = factors[0]
-            return sum(num[:: self.n + 1]), d
-        acc, d = self._product(factors[:-1])
-        last, den = factors[-1]
-        return self._ops[1](acc, last), d * den
+                trace = self.n, 1
+            else:
+                num, d = factors[0]
+                trace = sum(num[:: self.n + 1]), d
+        else:
+            acc, d = self._product(factors[:-1])
+            last, den = factors[-1]
+            trace = self._ops[1](acc, last), d * den
+        self._traces[codes] = trace
+        return trace
 
     def evaluate_word(self, w: Word) -> Matrix:
         factors = self._factors(w.codes)
@@ -353,16 +414,16 @@ class RepresentationPoint(FrozenValue):
             return self.trace_word(x)
         if isinstance(x, ConjClass):
             return self.trace_word(x.representative())
-        total, den = 0, 1
+        traces, total, den = self._traces, 0, 1
         for key, coeff in x.terms.items():
-            w = key.representative() if isinstance(key, ConjClass) else key
-            t, d = self._word_trace(w.codes)
+            codes = (key.word if type(key) is ConjClass else key).codes
+            t, d = traces.get(codes) or self._word_trace(codes)  # a hit makes no call
             if den % d:
                 m = lcm(den, d)
                 total *= m // den
                 den = m
             total += coeff * t * (den // d)
-        return Fraction(total, den)
+        return _INT_FRACTIONS[total] if den == 1 else Fraction(total, den)
 
     def to_json_dict(self) -> dict:
         return {

@@ -74,6 +74,27 @@ def test_deeply_nested_json_is_one_line_error(capsys, tmp_path):
         assert isinstance(json.loads(err)["error"], str)
 
 
+def test_huge_exponent_entry_is_refused_at_once(tmp_path):
+    # Fraction("1e999999999") builds a billion-digit integer; a point file
+    # with that entry is refused before, in a child with a time limit, so a
+    # regression fails here instead of hanging the suite
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 1, "images": {"g1": [["1e999999999"]]}}), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from quasiloop.cli import main; sys.exit(main(sys.argv[2:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src, "trace-eval", "--spec", "fixture:qt2", "--rep", str(path),
+         "--expr", "g1 g2^-1"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"].startswith(
+        "malformed representation: g1 has an entry whose exponent is beyond"
+    )
+
+
 def test_validate_disconnected(capsys, tmp_path):
     spec = fixture_spec("qt2").to_json_dict()
     spec["graph"]["vertices"].append("lonely")

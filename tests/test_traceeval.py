@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quasiloop.fox import algebraic_brace
 from quasiloop.homotopy import gate_brace_geometric, second_bracket
@@ -367,6 +371,150 @@ def test_integer_route_equals_fraction_route():
                 rho.eval_trace(combination + LoopCombination.from_word(w))
     assert len(_KERNELS) <= _UNROLL_MAX
     assert set(_KERNELS) <= set(range(1, _UNROLL_MAX + 1))
+
+
+# Square matrices of size 1 to 5, whose cofactor determinant stays cheap:
+# integer entries about half of them zero, so that zero leading pivots (row
+# swaps), zero multipliers and singular matrices are frequent; the same with
+# some rational entries; and unimodular matrices of determinant +-1.
+_SPARSE = st.one_of(st.just(0), st.integers(-3, 3))
+_RATIONAL = st.one_of(_SPARSE, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+def _squares(entries):
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@given(st.one_of(
+    _squares(_SPARSE),
+    _squares(_RATIONAL),
+    st.builds(random_unimodular, st.integers(1, 5), st.integers(0, 2**32)),
+))
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+@example([[0, Fraction(1, 2)], [2, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 1, 0], [0, 2, 0], [1, 0, 1]])
+def test_elimination_equals_cofactors_and_fraction_products(rows):
+    # mat_det, mat_inverse and create share one elimination; its results
+    # must equal a cofactor expansion and satisfy m inv == inv m == I in
+    # plain Fraction arithmetic
+    n = len(rows)
+    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    det = _cofactor_det(m)
+    assert mat_det(m) == det
+    assert type(mat_det(m)) is Fraction
+    if det == 0:
+        with pytest.raises(ValueError, match="^matrix is not invertible$"):
+            mat_inverse(m)
+        with pytest.raises(ValueError, match="^matrix is not invertible$"):
+            RepresentationPoint.create(n, [rows])
+        return
+    inv = mat_inverse(m)
+    assert _fraction_mul(m, inv) == mat_identity(n) == _fraction_mul(inv, m)
+    assert mat_det(inv) == 1 / det
+    rho = RepresentationPoint.create(n, [rows])
+    assert rho.images == (m,)
+    assert rho.inverses == (inv,)
+    assert rho._letters == RepresentationPoint(n, rho.images, rho.inverses)._letters
+
+
+def _bracket_pairs(qs, rng, count):
+    """Both brackets of ``count`` pairs of classes whose bracket has a term
+    of three letters or more."""
+    out = []
+    while len(out) < count:
+        x, y = (random_class(rng, qs.rank, max_len=5) for _ in range(2))
+        xy = second_bracket(qs, x, y)
+        if any(len(c) >= 3 for c in xy.terms):
+            out.append((xy, second_bracket(qs, y, x)))
+    return out
+
+
+def test_trace_memo_gives_the_traces_of_a_fresh_point(qg1, qd2):
+    # a point remembers each word's trace; evaluating one value after
+    # another at one point gives what each gives at a point of its own
+    rng = random.Random(59)
+    for qs in (qg1, qd2):
+        for n in (1, 2, 3, _UNROLL_MAX + 1):
+            rho = random_representation(qs, n, rng)
+            values = [v for pair in _bracket_pairs(qs, rng, 3) for v in pair]
+            values.append(jacobiator(qs, *(random_class(rng, qs.rank, max_len=4) for _ in range(3))))
+            for v in values:
+                fresh = RepresentationPoint(rho.n, rho.images, rho.inverses)
+                assert fresh._traces == {}
+                assert rho.eval_trace(v) == fresh.eval_trace(v)
+                for c in v.terms:
+                    w = c.representative()
+                    assert rho.trace_word(w) == fresh.trace_word(w) == rho.eval_trace(c)
+            assert set(rho._traces) == {c.representative().codes for v in values for c in v.terms}
+
+
+def test_trace_memo_computes_each_word_once(qg1):
+    # the two sides of the skew law share their words; with the point's
+    # kernels counted, the second side computes nothing: one trace pairing
+    # per distinct word of two or more letters, and one product per letter
+    # before its last two
+    rng = random.Random(60)
+    for n in (2, 3):
+        for xy, yx in _bracket_pairs(qg1, rng, 4):
+            rho = random_representation(qg1, n, rng)
+            calls = Counter()
+
+            def counted(name, kernel):
+                def call(a, b):
+                    calls[name] += 1
+                    return kernel(a, b)
+                return call
+
+            prod, pair = rho._ops
+            object.__setattr__(rho, "_ops", (counted("prod", prod), counted("pair", pair)))
+            assert rho.eval_trace(xy) == -rho.eval_trace(yx)
+            words = {c.representative().codes for c in (*xy.terms, *yx.terms)}
+            long = [w for w in words if len(w) >= 2]
+            assert calls == Counter(pair=len(long), prod=sum(len(w) - 2 for w in long))
+            assert rho._traces.keys() == words
+    # a letter with no image raises on every call and is not remembered
+    rho = RepresentationPoint.create(1, [[[2]]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^no matrix image for generator g6$"):
+            rho.trace_word(Word([(0, 1), (5, 1)]))
+    assert rho._traces == {}
+
+
+@pytest.mark.parametrize("n", [2, _UNROLL_MAX + 1])
+def test_point_pickles_and_copies(qg1, n):
+    # a point's kernels are compiled code, and above the unroll cap local
+    # functions; neither can be pickled, so a point is rebuilt from its
+    # fields, and its memo stays behind
+    rng = random.Random(61)
+    rho = random_representation(qg1, n, rng)
+    words = [_reduced_word(rng, qg1.rank, length) for length in (0, 1, 2, 5)]
+    traces = [rho.trace_word(w) for w in words]
+    matrices = [rho.evaluate_word(w) for w in words]
+    for again in (pickle.loads(pickle.dumps(rho)), copy.copy(rho), copy.deepcopy(rho)):
+        assert again == rho
+        assert hash(again) == hash(rho)
+        assert repr(again) == repr(rho)
+        assert again._traces == {}
+        assert [again.trace_word(w) for w in words] == traces
+        assert [again.evaluate_word(w) for w in words] == matrices
+
+
+@pytest.mark.parametrize("entry", ["1e4301", "1E-4301", "-2.5e+5000", "3e-20000"])
+def test_create_refuses_an_exponent_past_the_digit_limit(entry):
+    # Fraction builds 10 ** exponent first, which for "1e999999999" takes
+    # minutes; these exponents are small enough to be built fast where they
+    # are not refused (tests/test_cli.py tries the large one in a subprocess)
+    with pytest.raises(ValueError, match="^malformed representation: g2 has an entry whose exponent"):
+        RepresentationPoint.create(1, [[[1]], [[entry]]])
+
+
+def test_create_keeps_exponents_up_to_the_digit_limit():
+    rho = RepresentationPoint.create(1, [[["1e4300"]], [["25e-4300"]], [["2.5E-3"]]])
+    assert rho.images == (((Fraction(10**4300),),), ((Fraction(25, 10**4300),),), ((Fraction(1, 400),),))
 
 
 def test_representation_json_round_trip(qg1):
