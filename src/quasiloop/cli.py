@@ -19,7 +19,7 @@ from .diagrams import LaneDiagram, diagram_from_json, diagram_to_word, parse_ome
 from .fixtures import FIXTURE_NAMES, fixture_spec
 from .homotopy import bullet, gate_brace_geometric, second_bracket
 from .surface import QuasiSurface, build, load_spec
-from .traceeval import RepresentationPoint, load_representation
+from .traceeval import RepresentationPoint, _number_text, load_representation
 from .words import ConjClass
 
 
@@ -168,7 +168,7 @@ def cmd_trace_eval(args) -> int:
         "operation": "trace_eval",
         "n": rho.n,
         "expr": args.expr,
-        "trace": str(value),
+        "trace": _number_text(value),
     }
     return _emit(args, payload)
 
@@ -187,7 +187,7 @@ def _load_rep(qs: QuasiSurface, path: str) -> RepresentationPoint:
 def _maybe_trace(args, qs: QuasiSurface, payload: dict, value) -> None:
     rep = getattr(args, "rep", None)
     if rep:
-        payload["trace"] = str(_load_rep(qs, rep).eval_trace(value))
+        payload["trace"] = _number_text(_load_rep(qs, rep).eval_trace(value))
 
 
 def cmd_selftest(args) -> int:

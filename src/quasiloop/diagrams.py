@@ -21,11 +21,12 @@ orients crossing signs for the intersection forms downstream.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+import weakref
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from ._value import FrozenValue, Value
 from .surface import EdgePath, EdgeStep, QuasiSurface
-from .words import Codes, ConjClass, Word, _reduce, _word, canonical_conjugacy
+from .words import Codes, ConjClass, Word, _product, _reduce, _word, canonical_conjugacy, cyclic_reduction
 
 
 class DiskArc(FrozenValue):
@@ -183,9 +184,8 @@ class _RArc(Value):
 class _RLoop(Value):
     """A realized loop.  Its letter codes are collapsed and its gate endpoints
     listed once, and the codes of its rotation words are cached on it, so
-    the one realization of a class on a surface (:func:`realize_loop`)
-    serves every side table and family that reads the class.  It is shared,
-    so nothing changes it after :func:`_rloop` builds it; ``rotations``
+    that a family reading one crossing many times reduces its rotation
+    once.  Nothing changes it after :func:`_rloop` builds it; ``rotations``
     only caches."""
 
     _fields = ("edge_path", "arcs", "codes", "before", "crossings", "rotations")
@@ -255,6 +255,25 @@ def _lane_route(m: int, a: int, b: int) -> list[tuple[int, bool]]:
     return [((a - 1 - j) % m, True) for j in range(m - ccw)]
 
 
+def _passage_hops(
+    qs: QuasiSurface, gate_in: int, gate_out: int
+) -> tuple[int, list[tuple[int, bool, str, str]]]:
+    """The disk of a passage from gate index ``gate_in`` to ``gate_out``,
+    and its lane hops along :func:`_lane_route`, each as its lane, whether
+    it runs reversed, and the gates it enters and leaves."""
+    disk, pos_a = qs.gate_position[qs.gates[gate_in]]
+    disk_b, pos_b = qs.gate_position[qs.gates[gate_out]]
+    if disk != disk_b:
+        raise ValueError("disk passage must enter and exit one disk")
+    gates = qs.disk_gates(disk)
+    m = len(gates)
+    hops = []
+    for lane, reverse in _lane_route(m, pos_a, pos_b):
+        start, end = gates[lane], gates[(lane + 1) % m]
+        hops.append((lane, reverse, end, start) if reverse else (lane, reverse, start, end))
+    return disk, hops
+
+
 def _append_passage(
     qs: QuasiSurface,
     steps: list[EdgeStep],
@@ -263,15 +282,8 @@ def _append_passage(
     gate_in: int,
     gate_out: int,
 ) -> None:
-    disk, pos_a = qs.gate_position[qs.gates[gate_in]]
-    disk_b, pos_b = qs.gate_position[qs.gates[gate_out]]
-    if disk != disk_b:
-        raise ValueError("disk passage must enter and exit one disk")
-    gates = qs.disk_gates(disk)
-    m = len(gates)
-    for lane, reverse in _lane_route(m, pos_a, pos_b):
-        enter = gates[(lane + 1) % m] if reverse else gates[lane]
-        leave = gates[lane] if reverse else gates[(lane + 1) % m]
+    disk, hops = _passage_hops(qs, gate_in, gate_out)
+    for lane, reverse, enter, leave in hops:
         key = (disk, lane)
         depth_counter[key] = depth_counter.get(key, 0) + 1
         entry_pos = len(steps)
@@ -350,27 +362,17 @@ def realize_loop(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> _RLoo
     """One circular loop realized: a class from its canonical cyclic edge
     path, a lane diagram given from outside verbatim once validated.
 
-    A class is realized once per surface: its loop is memoized in
-    ``qs.realized`` under the class, and an equal class gets the same
-    loop.  The memo holds its keys weakly, so an entry lives only while a
-    caller holds that class object (a loop combination holds its terms).
-    A word is looked up under its class but not stored, since that class
-    object dies with the call.  The returned loop is shared and must not
-    be changed.  A lane diagram is validated and realized on every call
-    and never memoized."""
+    Nothing is memoized: every call walks afresh.  The forms read a class
+    through its side table (:func:`_class_sides`), which needs no
+    realization; a realized loop serves lane diagrams, ``word_to_diagram``,
+    the generic families and the tests' reference route."""
     if isinstance(x, LaneDiagram):
         validate_diagram(qs, x)
         return _rloop(qs, *_diagram_steps(qs, x))
     if isinstance(x, Word):
-        c = canonical_conjugacy(x)
-        rl = qs.realized.get(c)
-        return rl if rl is not None else _walk(qs, qs.cyclic_edge_path(c), cyclic=True)
+        x = canonical_conjugacy(x)
     if isinstance(x, ConjClass):
-        memo = qs.realized
-        rl = memo.get(x)
-        if rl is None:
-            rl = memo[x] = _walk(qs, qs.cyclic_edge_path(x), cyclic=True)
-        return rl
+        return _walk(qs, qs.cyclic_edge_path(x), cyclic=True)
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop diagram")
 
 
@@ -430,10 +432,149 @@ def diagram_from_json(qs: QuasiSurface, data: dict) -> LaneDiagram:
     return diagram
 
 
+# --- side tables from the edge path -------------------------------------
+
+# A loop's side table: per gate, ``(start, end)``, the rotation codes and
+# signed coefficient of each crossing on the start side of the gate (the
+# lane starting there counterclockwise, :meth:`_RArc.start_side`) and of
+# each one on the end side.  A crossing's sign is +1 for an entry, -1 for
+# an exit.
+_Side = tuple[tuple[Codes, int], ...]
+_SideTable = tuple[tuple[_Side, _Side], ...]
+
+# per surface, the letter code of each coded edge step (-1 off the
+# generators) and the disk passages met so far, dropped with the surface
+_PASSAGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _passages(qs: QuasiSurface) -> tuple[tuple[int, ...], dict]:
+    """The surface's step letters and its passage table, filled per
+    passage on first use."""
+    table = _PASSAGES.get(qs)
+    if table is None:
+        gen_of_edge = qs._gen_of_edge
+        letters: list[int] = []
+        for e in range(len(qs.edges)):
+            g = gen_of_edge.get(e)
+            # a step forward (code 2e) reads as its generator's inverse
+            letters += (-1, -1) if g is None else (2 * g + 1, 2 * g)
+        table = _PASSAGES[qs] = (tuple(letters), {})
+    return table
+
+
+def _passage(qs: QuasiSurface, letters: tuple[int, ...], enter: int, leave: int):
+    """The disk passage entering by coded step ``enter`` and leaving by
+    ``leave``, as :func:`_walk` decomposes it into lane hops: its reduced
+    letters, zero to two codes since the hops' gate detours cancel in
+    pairs, and its crossings in walk order, each ``(slot, sign, offset,
+    h)``.  ``slot`` is ``2 k`` for the start side of gate k and ``2 k + 1``
+    for its end side; the cut falls after ``offset`` of the passage's
+    letters; ``h`` is the letter of a detour that the cut splits (between
+    two hops, at a gate on the generators), else None, and conjugates the
+    rotation read at the offset."""
+    n_y = qs.n_y_edges
+    _, hops = _passage_hops(qs, (enter >> 1) - n_y, (leave >> 1) - n_y)
+    reverse = hops[0][1]
+    # the gate edges along the route: each hop's entry, then the last exit
+    edges = [qs.gate_edge[g] for _, _, g, _ in hops] + [qs.gate_edge[hops[-1][3]]]
+    first, last = letters[enter], letters[leave]
+    word = tuple(c for c in (first, last) if c >= 0)
+    # at each gate along the route: the cut's offset, and the letter of the
+    # detour that a cut between two hops splits (None at either end)
+    offsets = [0] + [int(first >= 0)] * (len(hops) - 1) + [len(word)]
+    detours = [None] + [letters[2 * e] if letters[2 * e] >= 0 else None for e in edges[1:-1]] + [None]
+    crossings = []
+    for j in range(len(hops)):
+        # hop j enters through edges[j] and leaves through edges[j + 1]; its
+        # entry lies on the start side unless it is reversed, its exit on the other
+        crossings.append((2 * (edges[j] - n_y) + reverse, 1, offsets[j], detours[j]))
+        crossings.append((2 * (edges[j + 1] - n_y) + (not reverse), -1, offsets[j + 1], detours[j + 1]))
+    return word, tuple(crossings)
+
+
+def _add_sides(qs: QuasiSurface, codes: Codes, coeff: int, slots: list[list]) -> None:
+    """Append the crossings of the class with canonical codes ``codes``, with
+    coefficient ``coeff`` times their signs, to ``slots`` (``2 k`` and
+    ``2 k + 1``: the start and end sides of gate k).  The class's cyclically
+    reduced edge path is read from its first gate entry, as :func:`_walk`
+    reads it, one passage at a time from the passage table.  With ``W`` the
+    loop's word and a cut after ``p`` of its letters, the rotation there is
+    ``R = W[p:] + W[:p]``, conjugated by a split detour's letter ``h`` as
+    ``h R h^-1``; it is computed once per ``(p, h)``."""
+    letters, passages = _passages(qs)
+    path = cyclic_reduction(qs._edge_codes_of_word(_word(codes)))
+    gate_steps = 2 * qs.n_y_edges
+    start = next((i for i, s in enumerate(path) if s >= gate_steps and not s & 1), None)
+    if start is None:
+        return
+    steps = iter(path[start:] + path[:start])
+    word: list[int] = []
+    met = []  # (letters before the passage, its crossings)
+    for s in steps:
+        if s < gate_steps:
+            if letters[s] >= 0:
+                word.append(letters[s])
+            continue
+        leave = next(steps)  # a reduced path leaves the disk right after entering it
+        passage = passages.get((s, leave))
+        if passage is None:
+            passage = passages[s, leave] = _passage(qs, letters, s, leave)
+        met.append((len(word), passage[1]))
+        word += passage[0]
+    w = tuple(word)
+    rotations: dict = {}
+    for base, crossings in met:
+        for slot, sign, offset, h in crossings:
+            p = base + offset
+            rotation = rotations.get((p, h))
+            if rotation is None:
+                rotation = w[p:] + w[:p]
+                if h is not None:
+                    rotation = _product(_product((h,), rotation), (h ^ 1,))
+                rotations[p, h] = rotation
+            slots[slot].append((rotation, coeff * sign))
+
+
+def _codes_sides(qs: QuasiSurface, terms: Mapping[Codes, int]) -> _SideTable:
+    """The side table of a combination given as canonical class codes to
+    coefficients (as :func:`~quasiloop.words._graft` returns them), zero
+    coefficients skipped; no class is built and nothing is memoized."""
+    slots: list[list] = [[] for _ in range(2 * qs.n_gates)]
+    for codes, coeff in terms.items():
+        if coeff:
+            _add_sides(qs, codes, coeff, slots)
+    return tuple(zip(map(tuple, slots[0::2]), map(tuple, slots[1::2])))
+
+
+def _class_sides(qs: QuasiSurface, x: "ConjClass | Word") -> _SideTable:
+    """The side table of a class, read from its edge path.  It is computed
+    once per surface: it is memoized in ``qs.side_tables`` under the class,
+    and an equal class gets the same table.  The memo holds its keys
+    weakly, so an entry lives only while a caller holds that class object
+    (a loop combination holds its terms).  A word is looked up under its
+    class but not stored, since that class object dies with the call.  The
+    table is made of tuples and shared."""
+    memo = qs.side_tables
+    if isinstance(x, Word):
+        c = canonical_conjugacy(x)
+        table = memo.get(c)
+        return table if table is not None else _codes_sides(qs, {c.word.codes: 1})
+    if not isinstance(x, ConjClass):
+        raise TypeError(f"cannot interpret {type(x).__name__} as a loop diagram")
+    table = memo.get(x)
+    if table is None:
+        table = memo[x] = _codes_sides(qs, {x.word.codes: 1})
+    return table
+
+
 def dual_v(qs: QuasiSurface, gate: str, d: "LaneDiagram | ConjClass | Word") -> int:
-    """Signed count of the loop's crossings with a gate."""
+    """Signed count of the loop's crossings with a gate: a class's from
+    its side table, a lane diagram's from its realized arcs."""
     k = qs.gate_index(gate)
-    return sum(1 if entry else -1 for _, entry in realize_loop(qs, d).crossings[k])
+    if isinstance(d, LaneDiagram):
+        return sum(1 if entry else -1 for _, entry in realize_loop(qs, d).crossings[k])
+    start, end = _class_sides(qs, d)[k]
+    return sum(c for _, c in start) + sum(c for _, c in end)
 
 
 # --- generic families --------------------------------------------------

@@ -19,6 +19,7 @@ from collections.abc import Callable, Sequence
 from .diagrams import (
     ExplicitDiagram,
     LaneDiagram,
+    _class_sides,
     diagram_to_word,
     explicit_pair,
     parse_omega,
@@ -79,7 +80,11 @@ def gate_dual(qs: QuasiSurface, gate: str, x: "Sequence[int]") -> int:
 
 def _side_counts(qs: QuasiSurface, x: "LaneDiagram | ConjClass | Word") -> list[list[int]]:
     """Per gate, ``[E_k, S_k]``: the signed counts of a loop's end- and
-    start-side crossings, the coefficient sums of its side table."""
+    start-side crossings, the coefficient sums of a class's side table or
+    read off a lane diagram's realized arcs."""
+    if not isinstance(x, LaneDiagram):
+        return [[sum(c for _, c in end), sum(c for _, c in start)]
+                for start, end in _class_sides(qs, x)]
     rl = realize_loop(qs, x)
     counts = [[0, 0] for _ in rl.crossings]
     for sides, crossings in zip(counts, rl.crossings):
@@ -117,7 +122,7 @@ def first_form(
 
 
 def _build_gram(qs: QuasiSurface) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix, each generator realized once."""
+    """The Gram matrix, each generator's side table read once."""
     counts = [_side_counts(qs, Word.generator(i)) for i in range(qs.rank)]
     return tuple(
         tuple(sum(sx * ey - sy * ex for (ex, sx), (ey, sy) in zip(cx, cy)) for cy in counts)
@@ -130,7 +135,8 @@ def gram_matrix(qs: QuasiSurface) -> list[list[int]]:
     basis: ``first_form(omega; x, y) - first_form(omega; y, x)`` for any
     orientation ``omega``, in which only the opposite-side pairs survive,
     ``sum_k S_k(x) E_k(y) - S_k(y) E_k(x)``.  It is computed once per
-    surface, each generator realized once; every call returns fresh lists."""
+    surface, each generator's side table read once; every call returns
+    fresh lists."""
     return [list(row) for row in _matrix(qs, _build_gram)]
 
 

@@ -4,10 +4,14 @@ All operations return exact integer combinations of conjugacy classes.
 Each argument is read through its sides at each gate: the signed
 rotation words of its crossings on the start side (the lane starting at
 the gate counterclockwise) and on the end side, held as letter codes.
-Every generic form sums grafts ``p(X·Y)`` in one loop (``_graft_sum``),
-from two code tuples to the canonical codes of the class
-(``words._graft``), into one dict keyed by those codes; a class is
-built once per surviving term.  The oriented pairing grafts x onto y at
+A class's side table is read straight from its cyclically reduced edge
+path, one disk passage at a time from the surface's passage table, and
+kept once per class on the surface (``diagrams._class_sides``); no loop
+is realized for it.  Only a lane diagram is realized and read off its
+arcs (``_sides``).  Every generic form sums grafts ``p(X·Y)`` in one
+loop (``_graft_sum``), from two code tuples to the canonical codes of
+the class (``words._graft``), into one dict keyed by those codes; a
+class is built once per surviving term.  The oriented pairing grafts x onto y at
 every crossing q of y met before a crossing p of x along a gate in the
 gate's orientation: every crossing of y comes before each of x's
 crossings on one side (start for +1, end for -1) and before none on the
@@ -33,6 +37,8 @@ from .diagrams import (
     ExplicitDiagram,
     LaneDiagram,
     _RLoop,
+    _Side,
+    _class_sides,
     explicit_pair,
     parse_omega,
     realize_based,
@@ -40,43 +46,40 @@ from .diagrams import (
 )
 from .ring import GroupRingElement, LoopCombination
 from .surface import QuasiSurface
-from .words import Codes, ConjClass, Word, _graft, _product, _word, canonical_conjugacy
+from .words import Codes, ConjClass, Word, _graft, _product, _word
 
 
-def _loop_terms(qs: QuasiSurface, x) -> list[tuple[_RLoop, int]]:
-    """An argument's ``(loop, coeff)`` pairs, each loop realized once: the
-    terms of a loop combination, or a single class or lane diagram with
-    coefficient 1."""
+def _sides(rl: _RLoop, k: int) -> tuple[_Side, _Side]:
+    """A realized loop's crossings at gate ``k`` as ``(start, end)``: the
+    rotation codes and sign of each crossing on the lane starting at the
+    gate counterclockwise (``_RArc.start_side``) and of each crossing on the
+    lane ending there.  Lane diagrams are read this way; classes read the
+    same table from their edge paths (``diagrams._class_sides``)."""
+    start: list[tuple[Codes, int]] = []
+    end: list[tuple[Codes, int]] = []
+    for arc, entry in rl.crossings[k]:
+        side = start if rl.arcs[arc].start_side(entry) else end
+        side.append((rl.rotation_codes(rl.cut(arc, entry)), 1 if entry else -1))
+    return tuple(start), tuple(end)
+
+
+def _side_table(qs: QuasiSurface, x) -> Sequence[tuple[_Side, _Side]]:
+    """An argument's sides at every gate: a class's memoized table, a loop
+    combination's as the sum of its terms' tables, each term's coefficient
+    times each sign, and a lane diagram's from its realization."""
     if isinstance(x, LoopCombination):
-        return [(realize_loop(qs, k), c) for k, c in x.terms.items()]
-    if isinstance(x, Word):
-        x = canonical_conjugacy(x)
-    if isinstance(x, (ConjClass, LaneDiagram)):
-        return [(realize_loop(qs, x), 1)]
+        table = [([], []) for _ in qs.gates]
+        for k, c in x.terms.items():
+            for (start, end), (start_k, end_k) in zip(table, _class_sides(qs, k)):
+                start += [(a, c * s) for a, s in start_k]
+                end += [(a, c * s) for a, s in end_k]
+        return table
+    if isinstance(x, (ConjClass, Word)):
+        return _class_sides(qs, x)
+    if isinstance(x, LaneDiagram):
+        rl = realize_loop(qs, x)
+        return [_sides(rl, k) for k in range(len(qs.gates))]
     raise TypeError(f"cannot interpret {type(x).__name__} as a loop combination")
-
-
-_Side = list[tuple[Codes, int]]
-
-
-def _sides(terms: list[tuple[_RLoop, int]], k: int) -> tuple[_Side, _Side]:
-    """An argument's crossings at gate ``k`` as ``(start, end)``: the
-    rotation codes and coeff · sign of each crossing on the lane starting
-    at the gate counterclockwise (``_RArc.start_side``) and of each crossing
-    on the lane ending there, over the argument's realized terms."""
-    start: _Side = []
-    end: _Side = []
-    for rl, c in terms:
-        for arc, entry in rl.crossings[k]:
-            side = start if rl.arcs[arc].start_side(entry) else end
-            side.append((rl.rotation_codes(rl.cut(arc, entry)), c if entry else -c))
-    return start, end
-
-
-def _side_table(qs: QuasiSurface, x) -> list[tuple[_Side, _Side]]:
-    """An argument's sides at every gate, each term realized once."""
-    terms = _loop_terms(qs, x)
-    return [_sides(terms, k) for k in range(len(qs.gates))]
 
 
 def _gate_factor(sides: tuple[_Side, _Side]) -> dict[Codes, int]:
@@ -140,7 +143,7 @@ def gate_brace_geometric(qs: QuasiSurface, gate: str, loops: Sequence) -> LoopCo
     k = qs.gate_index(gate)
     if not loops:
         raise ValueError("gate brace needs at least one loop")
-    factors = [_gate_factor(_sides(_loop_terms(qs, x), k)) for x in loops]
+    factors = [_gate_factor(_side_table(qs, x)[k]) for x in loops]
     return LoopCombination._from_codes(_brace_codes({}, factors))
 
 

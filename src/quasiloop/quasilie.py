@@ -5,7 +5,10 @@ by the gate terms: the Jacobiator equals mu(x,y,z) - mu(y,x,z) for the
 cyclically symmetric 3-bracket mu summing the gate 3-braces over all
 gates.  The verifier computes both sides exactly from one side table
 per argument (``homotopy._side_table``), mu through the m-fold brace of
-``gate_brace_geometric`` (``homotopy._brace_codes``); the P/u
+``gate_brace_geometric`` (``homotopy._brace_codes``).  Each inner
+bracket of the Jacobiator goes from its collected class codes straight
+to its side table (``diagrams._codes_sides``), with no class object
+built and no memo entry; the P/u
 diagnostics recompute the Jacobiator from the oriented pairing's
 associativity defects and localize a hypothetical failure.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ._value import FrozenValue
-from .diagrams import opposite, parse_omega
+from .diagrams import _codes_sides, opposite, parse_omega
 from .homotopy import _brace_codes, _bracket_codes, _gate_factor, _side_table, bullet
 from .ring import LoopCombination
 from .surface import QuasiSurface
@@ -43,11 +46,10 @@ def _jacobiator_codes(
     qs: QuasiSurface, terms: dict[Codes, int], tx, ty, tz, scale: int = 1
 ) -> dict[Codes, int]:
     """Add ``scale`` times the Jacobiator into ``terms`` from the side
-    tables of x, y and z; each inner bracket is a combination of classes,
-    realized once, for its own side table, and dropped before its grafts
-    so that its realized loops go too."""
+    tables of x, y and z; each inner bracket goes from its collected codes
+    straight to its side table, with no class built and no memo entry."""
     for ta, tb, tc in ((tx, ty, tz), (ty, tz, tx), (tz, tx, ty)):
-        inner = _side_table(qs, LoopCombination._from_codes(_bracket_codes({}, ta, tb)))
+        inner = _codes_sides(qs, _bracket_codes({}, ta, tb))
         _bracket_codes(terms, inner, tc, scale)
     return terms
 

@@ -145,8 +145,9 @@ class QuasiSurface:
 
     The presentation is immutable after :func:`build`, and every method
     returns the same value for the same arguments.  The one thing that
-    grows is ``realized``, the realized loop of each class, filled by
-    :func:`quasiloop.diagrams.realize_loop` and never changed after.
+    grows is ``side_tables``, the side table of each class (its signed
+    rotation words at every gate), filled by
+    :func:`quasiloop.diagrams._class_sides` and never changed after.
     """
 
     def __init__(self, spec: QuasiSurfaceSpec):
@@ -154,9 +155,9 @@ class QuasiSurface:
         self._build_graph()
         self._build_tree()
         self._build_generators()
-        # weak keys: a realization lives while some caller holds the class
+        # weak keys: a side table lives while some caller holds the class
         # object it was stored under, and dies with the surface
-        self.realized: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self.side_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # --- construction -------------------------------------------------
 

@@ -245,6 +245,41 @@ def mat_inverse(a: Matrix) -> Matrix:
 _MAX_EXPONENT = 4300
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size.  One int-to-string conversion may
+    write only so many digits (``sys.get_int_max_str_digits``); a longer
+    int is split by a power of ten and each part written on its own."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half its decimal digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _number_text(x: Fraction) -> str:
+    """A rational written exactly, as ``str(x)`` writes it where that stays
+    within the limit on the digits of one int-to-string conversion.  Beyond
+    it, a value ``m / 10 ** e`` is written ``"<m>e<-e>"`` with the zeros of
+    ``m`` moved into the exponent (``m`` alone when none are left), which
+    :func:`_entry` reads back while the exponent is within
+    ``_MAX_EXPONENT``; any other is ``"<p>/<q>"`` in full decimal."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    n, d = x.numerator, x.denominator
+    if pow(10, _MAX_EXPONENT, d) == 0:  # d divides 10 ** _MAX_EXPONENT
+        digits = _decimal(n * 10 ** _MAX_EXPONENT // d)
+        mantissa = digits.rstrip("0")
+        exponent = len(digits) - len(mantissa) - _MAX_EXPONENT
+        return f"{mantissa}e{exponent}" if exponent else mantissa
+    return f"{_decimal(n)}/{_decimal(d)}"
+
+
 def _entry(x, g: int) -> Fraction:
     """An image entry of generator ``g`` as a ``Fraction``: an ``int`` (not a
     ``bool``), a ``Fraction`` or a string such as ``"1/2"`` or ``"2.5e-3"``
@@ -429,7 +464,7 @@ class RepresentationPoint(FrozenValue):
         return {
             "n": self.n,
             "images": {
-                f"g{i + 1}": [[str(x) for x in row] for row in m]
+                f"g{i + 1}": [[_number_text(x) for x in row] for row in m]
                 for i, m in enumerate(self.images)
             },
         }

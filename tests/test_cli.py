@@ -212,6 +212,35 @@ def test_trace_eval(capsys, tmp_path):
     assert json.loads(out)["trace"] == "9"
 
 
+def test_trace_eval_past_the_digit_limit(capsys, tmp_path):
+    # the trace 10 ** 6000 has more digits than one int-to-string
+    # conversion may write; it used to end in a one-line error and exit 1,
+    # and so did --rep on the forms
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 1, "images": {"g1": [["1e3000"]]}}), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "trace-eval", "--spec", "fixture:qt2", "--rep", str(path),
+        "--expr", "g1 g2^-1 g1 g2^-1",
+    )
+    assert code == 0
+    assert json.loads(out)["trace"] == "1e6000"
+    path.write_text(json.dumps({"n": 1, "images": {"g1": [["1000000000000000000000000001e2990"]]}}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "bullet", "--spec", "fixture:qt2", "--rep", str(path),
+                       "--x", "g1 g2^-1", "--y", "g1 g2^-1")
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    digits = trace.partition("e")[0]
+    assert len(digits) == 55 and trace.endswith("e5980")
+    code, out, _ = run(
+        capsys, "trace-eval", "--spec", "fixture:qt2", "--rep", str(path),
+        "--expr", "g1 g2^-1 g1 g2^-1",
+    )
+    assert code == 0
+    assert json.loads(out)["trace"] == trace
+    assert int(digits) == (10**27 + 1) ** 2
+
+
 def test_trace_eval_rep_without_n(capsys, tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({"images": {"g1": [["3"]]}}), encoding="utf-8")

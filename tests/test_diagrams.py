@@ -10,6 +10,8 @@ from quasiloop.diagrams import (
     GenericFamily,
     LaneDiagram,
     SurfaceCrossing,
+    _class_sides,
+    _codes_sides,
     all_orientations,
     combine_generic,
     diagram_from_cyclic_path,
@@ -21,9 +23,11 @@ from quasiloop.diagrams import (
     validate_diagram,
     word_to_diagram,
 )
-from quasiloop.homotopy import bullet, second_bracket
+from quasiloop.homology import _side_counts
+from quasiloop.homotopy import _side_table, _sides, bullet, second_bracket
 from quasiloop.quasilie import jacobiator
 from quasiloop.randomcase import random_class, random_surface, random_word
+from quasiloop.ring import LoopCombination
 from quasiloop.surface import build
 from quasiloop.words import Word, canonical_conjugacy, format_word
 
@@ -457,38 +461,105 @@ def test_gate_order_equals_stored_reference():
     assert shared_lanes >= 50
 
 
-# --- the per-surface realization memo ----------------------------------
+# --- side tables from the edge path, against the realized route ---------
+
+
+def as_multisets(table):
+    return [(sorted(start), sorted(end)) for start, end in table]
+
+
+def realized_table(qs, terms):
+    """Reference side table of ``(class, coeff)`` terms, as multisets: each
+    class realized (``realize_loop``) and read off its arcs
+    (``homotopy._sides``), its signs scaled by the coefficient."""
+    table = [([], []) for _ in qs.gates]
+    for c, coeff in terms:
+        rl = realize_loop(qs, c)
+        for k, (start, end) in enumerate(table):
+            start_k, end_k = _sides(rl, k)
+            start += [(a, coeff * s) for a, s in start_k]
+            end += [(a, coeff * s) for a, s in end_k]
+    return as_multisets(table)
+
+
+def test_side_tables_from_the_edge_path_equal_the_realized_route():
+    # the passage-table route (diagrams._class_sides, _codes_sides and
+    # homotopy._side_table on combinations) against realize_loop + _sides,
+    # as multisets per gate and side; the signed counts of _side_counts and
+    # dual_v against the realized arcs
+    rng = random.Random(11)
+    seen = {"tables": 0, "graph": 0, "multi-lane": 0, "reversed": 0, "split detours": 0}
+    for _ in range(1500):
+        qs = random_surface(rng, max_disks=3, max_gates=7)
+        classes = [random_class(rng, qs.rank, max_len=10) for _ in range(3)]
+        coeffs = [rng.choice((1, -1, 2, -2)) for _ in classes]
+        graph = pure_graph_class(rng, qs, max_len=6)
+        extra = [canonical_conjugacy(Word())] + ([graph] if graph is not None else [])
+        seen["graph"] += graph is not None and not graph.is_trivial()
+        for c in classes + extra:
+            expected = realized_table(qs, [(c, 1)])
+            assert as_multisets(_class_sides(qs, c)) == expected
+            rl = realize_loop(qs, c)
+            counts = [[0, 0] for _ in qs.gates]
+            for k, crossings in enumerate(rl.crossings):
+                for arc, entry in crossings:
+                    counts[k][rl.arcs[arc].start_side(entry)] += 1 if entry else -1
+            assert _side_counts(qs, c) == counts
+            assert [dual_v(qs, g, c) for g in qs.gates] == [sum(n) for n in counts]
+            seen["tables"] += len(qs.gates)
+        # a combination, and the same terms as collected codes (a repeated
+        # class merges its coefficients, and a zero one drops out)
+        combination = LoopCombination.collect(zip(classes, coeffs))
+        expected = realized_table(qs, combination.terms.items())
+        assert as_multisets(_side_table(qs, combination)) == expected
+        codes = {}
+        for c, coeff in zip(classes, coeffs):
+            codes[c.word.codes] = codes.get(c.word.codes, 0) + coeff
+        assert as_multisets(_codes_sides(qs, codes)) == expected
+        for _, crossings in diagrams._PASSAGES[qs][1].values():
+            seen["multi-lane"] += len(crossings) > 2
+            seen["reversed"] += crossings[0][0] % 2  # the first entry lies on the end side
+            seen["split detours"] += any(h is not None for *_, h in crossings)
+    # 39,081 gate tables, 683 graph loops, and 2,560 multi-lane, 2,973
+    # reversed and 2,073 passages with split detours when written
+    assert seen["tables"] >= 30000 and seen["graph"] >= 500
+    assert seen["multi-lane"] >= 2000 and seen["reversed"] >= 2000 and seen["split detours"] >= 1500
+
+
+# --- the per-surface side-table memo -------------------------------------
 
 
 def test_realization_memo_keys_by_class_per_surface():
     # an equal but distinct class object, or a word of the class, gets the
-    # same realized loop; two surfaces built from one spec share no entry
+    # same side table; two surfaces built from one spec share no entry
     rng = random.Random(131)
     for _ in range(40):
         qs = random_surface(rng, max_disks=3, max_gates=7)
         w = random_word(rng, qs.rank, max_len=10)
         a, b = canonical_conjugacy(w), canonical_conjugacy(w)
         assert a is not b and a == b
-        rl = realize_loop(qs, a)
-        assert realize_loop(qs, b) is rl
-        assert realize_loop(qs, w) is rl
+        table = _class_sides(qs, a)
+        assert _class_sides(qs, b) is table
+        assert _class_sides(qs, w) is table
         other = build(qs.spec)
-        assert len(other.realized) == 0
-        rl_other = realize_loop(other, b)
-        assert rl_other is not rl and rl_other.codes == rl.codes
-        assert list(other.realized.values()) == [rl_other]
-        assert all(v is not rl_other for v in qs.realized.values())
+        assert len(other.side_tables) == 0
+        table_other = _class_sides(other, b)
+        assert table_other is not table and table_other == table
+        assert list(other.side_tables.values()) == [table_other]
+        assert all(v is not table_other for v in qs.side_tables.values())
 
 
 def test_lane_diagrams_are_never_memoized(monkeypatch):
     # a lane diagram is validated and realized verbatim, depths included,
-    # on every call, even when its class is memoized
+    # on every call, even when its class is memoized, and the forms read it
+    # without a memo entry
     qs = fixtures.qt2()
     z = qs.parse_loop("g1 g2^-1 g1 g2^-1")
     d = word_to_diagram(qs, z)
     assert [a.depth for a in d.arcs] == [1, 2]
     swapped = LaneDiagram(tuple(DiskArc(a.disk, a.lane, 3 - a.depth, a.reverse) for a in d.arcs), d.paths)
-    entries = len(qs.realized)
+    _class_sides(qs, z)
+    entries = len(qs.side_tables)
     validated = []
     real_validate = diagrams.validate_diagram
 
@@ -502,27 +573,34 @@ def test_lane_diagrams_are_never_memoized(monkeypatch):
     assert [a.depth for a in first.arcs] == [a.depth for a in second.arcs] == [2, 1]
     assert [a.depth for a in realize_loop(qs, z).arcs] == [1, 2]
     assert validated == [swapped, swapped]
-    assert len(qs.realized) == entries
+    assert second_bracket(qs, swapped, z) == second_bracket(qs, z, z)
+    assert dual_v(qs, "g1", swapped) == dual_v(qs, "g1", z) == 2
+    assert len(validated) == 4
+    assert len(qs.side_tables) == entries
     bad = LaneDiagram(d.arcs, d.paths[:1])
     for _ in range(2):
         with pytest.raises(ValueError, match="one connecting path per arc"):
             realize_loop(qs, bad)
-    assert len(validated) == 4
+    assert len(validated) == 6
 
 
 def test_realization_memo_dies_with_its_classes():
     # the memo holds its classes weakly: once the caller drops them and the
     # combinations holding them, it is empty, so a surface that lives for a
-    # whole run does not grow with the classes it has seen
+    # whole run does not grow with the classes it has seen; the Jacobiator's
+    # inner brackets never enter it
     rng = random.Random(137)
     qs = fixtures.qg1()
     held = []
     for _ in range(10):
         x, y, z = (random_class(rng, qs.rank, min_len=4, max_len=10) for _ in range(3))
         inner = second_bracket(qs, x, y)
-        held.append((x, y, z, inner, bullet(qs, None, inner, z), jacobiator(qs, x, y, z)))
-    assert len(qs.realized) >= len({t for *_, inner, _, _ in held for t in inner.terms})
-    assert len(qs.realized) > 30
-    del held, x, y, z, inner
+        entries = len(qs.side_tables)
+        jac = jacobiator(qs, x, y, z)
+        assert len(qs.side_tables) <= entries + 1  # z's table, if z is new
+        held.append((x, y, z, inner, bullet(qs, None, inner, z), jac))
+    assert len(qs.side_tables) >= len({t for *_, inner, _, _ in held for t in inner.terms})
+    assert len(qs.side_tables) > 30
+    del held, x, y, z, inner, jac
     gc.collect()
-    assert len(qs.realized) == 0
+    assert len(qs.side_tables) == 0

@@ -168,13 +168,13 @@ def test_gram_matrix_computed_once_per_surface(monkeypatch):
     # gram_matrix and second_form read one Gram matrix per surface, each
     # generator walked once, and every matrix returned is the caller's own
     walks = []
-    real_walk = diagrams._walk
+    real_walk = diagrams._add_sides
 
-    def counting_walk(qs, path, cyclic):
-        walks.append(path)
-        return real_walk(qs, path, cyclic)
+    def counting_walk(qs, codes, coeff, slots):
+        walks.append(codes)
+        return real_walk(qs, codes, coeff, slots)
 
-    monkeypatch.setattr(diagrams, "_walk", counting_walk)
+    monkeypatch.setattr(diagrams, "_add_sides", counting_walk)
     rng = random.Random(139)
     for _ in range(20):
         qs = random_surface(rng, max_disks=3, max_gates=7)

@@ -610,19 +610,17 @@ def test_bullet_y_slot_fox_route():
 
 
 def _memo_snapshot(qs):
-    """A copy of every memoized realization; holding it keeps its classes,
+    """A copy of every memoized side table; holding it keeps its classes,
     and so their entries, alive."""
     return {
-        c: (tuple((a.disk, a.lane, a.depth, a.reverse, a.entry_pos, a.exit_pos) for a in rl.arcs),
-            rl.codes, tuple(rl.before),
-            tuple(tuple(at_gate) for at_gate in rl.crossings))
-        for c, rl in qs.realized.items()
+        c: tuple((list(start), list(end)) for start, end in table)
+        for c, table in qs.side_tables.items()
     }
 
 
 def test_shared_realizations_stay_read_only_in_any_call_order():
-    # every route reads the one realization of a class on its surface, so
-    # none may change it: each memoized loop is unchanged after each call,
+    # every route reads the one side table of a class on its surface, so
+    # none may change it: each memoized table is unchanged after each call,
     # and the calls in a shuffled order on one surface give the values they
     # give each on a fresh surface
     rng = random.Random(79)

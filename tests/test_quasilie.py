@@ -13,7 +13,8 @@ from quasiloop.quasilie import (
     verify_quasi_jacobi,
 )
 from quasiloop import fixtures
-from quasiloop.homotopy import _loop_terms, bullet, gate_brace_geometric, second_bracket
+from quasiloop.diagrams import realize_loop
+from quasiloop.homotopy import bullet, gate_brace_geometric, second_bracket
 from quasiloop.randomcase import random_class, random_omega, random_surface
 from quasiloop.ring import GroupRingElement, LoopCombination, project_to_classes
 from quasiloop.words import canonical_conjugacy
@@ -178,7 +179,8 @@ def word_side_table(qs, x):
     """Reference side table: per gate, the (start, end) lists of rotation
     Word and coeff · sign, with the side rule of ``_RArc.start_side``."""
     table = [([], []) for _ in qs.gates]
-    for rl, c in _loop_terms(qs, x):
+    terms = x.terms.items() if isinstance(x, LoopCombination) else [(x, 1)]
+    for rl, c in ((realize_loop(qs, k), c) for k, c in terms):
         for (start, end), crossings in zip(table, rl.crossings):
             for arc, entry in crossings:
                 side = start if rl.arcs[arc].start_side(entry) else end

@@ -16,6 +16,8 @@ from quasiloop.ring import GroupRingElement, LoopCombination
 from quasiloop.traceeval import (
     _KERNELS,
     _UNROLL_MAX,
+    _decimal,
+    _number_text,
     RepresentationPoint,
     mat_det,
     mat_identity,
@@ -515,6 +517,41 @@ def test_create_refuses_an_exponent_past_the_digit_limit(entry):
 def test_create_keeps_exponents_up_to_the_digit_limit():
     rho = RepresentationPoint.create(1, [[["1e4300"]], [["25e-4300"]], [["2.5E-3"]]])
     assert rho.images == (((Fraction(10**4300),),), ((Fraction(25, 10**4300),),), ((Fraction(1, 400),),))
+
+
+def read_decimal(text):
+    """An int from a decimal string of any length, read in chunks that stay
+    within the limit on the digits of one string-to-int conversion."""
+    digits = text.lstrip("-")
+    n = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i : i + 4000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text.startswith("-") else n
+
+
+def test_points_past_the_digit_limit_are_written_and_read_back():
+    # an entry of 4301 or more digits used to stop to_json_dict at the
+    # int-to-string limit; a power-of-ten part now goes into the exponent,
+    # which _entry reads back, and anything else is written in full decimal
+    for rows in ([[["1e4300"]]], [[["1e-4300"]]], [[["-123e-4300"]]],
+                 [[["1e4300", "3"], ["0", "1e-4300"]]]):
+        rho = RepresentationPoint.create(len(rows[0]), rows)
+        assert RepresentationPoint.from_json_dict(rho.to_json_dict()) == rho
+    assert RepresentationPoint.create(1, [[["1e4300"]]]).to_json_dict()["images"] == {"g1": [["1e4300"]]}
+    big = 7**6000 + 1
+    for x in (Fraction(big), Fraction(-big, 10**4300), Fraction(1, 3 * 10**5000), Fraction(10**6000)):
+        num, _, den = _number_text(x).partition("/")
+        mantissa, _, exponent = num.partition("e")
+        value = Fraction(read_decimal(mantissa), read_decimal(den) if den else 1)
+        assert value * Fraction(10) ** int(exponent or 0) == x
+    assert _number_text(Fraction(big)) == _decimal(big)
+    assert _number_text(Fraction(-7, 2)) == "-7/2"
+    assert _number_text(Fraction(10**4299)) == str(10**4299)
+    rng = random.Random(3)
+    for _ in range(50):
+        n = rng.randrange(-(10**9000), 10**9000)
+        assert read_decimal(_decimal(n)) == n
 
 
 def test_representation_json_round_trip(qg1):
